@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "core/logging.h"
 
 namespace one4all {
@@ -70,6 +74,14 @@ void ThreadPool::ParallelFor(
 }
 
 int ThreadPool::HardwareThreads() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int usable = CPU_COUNT(&set);
+    if (usable > 0) return usable;
+  }
+#endif
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
 }

@@ -42,7 +42,10 @@ class ThreadPool {
   void ParallelFor(int64_t n,
                    const std::function<void(int64_t, int64_t)>& body);
 
-  /// \brief std::thread::hardware_concurrency() with a floor of 1.
+  /// \brief Cores this process may run on: the size of its CPU affinity
+  /// mask (sched_getaffinity), so taskset/cgroup pinning is honoured.
+  /// Falls back to std::thread::hardware_concurrency() where the mask is
+  /// unavailable; never less than 1.
   static int HardwareThreads();
 
   /// \brief Lazily-created process-wide pool with HardwareThreads()

@@ -174,15 +174,20 @@ std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
   pipeline->dataset_ = &dataset;
   pipeline->test_ = dataset.test_indices();
 
-  // Offline: score combinations on the validation split.
-  const ScalePredictionSet val_preds = ScalePredictionSet::FromPredictor(
-      predictor, dataset, dataset.val_indices());
-  Stopwatch search_timer;
-  pipeline->search_ =
-      SearchOptimalCombinations(dataset.hierarchy(), val_preds, options);
-  pipeline->search_seconds_ = search_timer.ElapsedSeconds();
-  pipeline->index_ =
-      ExtendedQuadTree::Build(dataset.hierarchy(), pipeline->search_);
+  // Offline: score combinations on the validation split. The validation
+  // predictions and the search result (every grid's and multi-grid's best
+  // combination plus its validation series) are only the index's input:
+  // they go out of scope once the index holds the combinations, before
+  // the online ingest below allocates.
+  {
+    const ScalePredictionSet val_preds = ScalePredictionSet::FromPredictor(
+        predictor, dataset, dataset.val_indices());
+    Stopwatch search_timer;
+    const CombinationSearchResult search =
+        SearchOptimalCombinations(dataset.hierarchy(), val_preds, options);
+    pipeline->search_seconds_ = search_timer.ElapsedSeconds();
+    pipeline->index_ = ExtendedQuadTree::Build(dataset.hierarchy(), search);
+  }
 
   // Online: sync test predictions for every layer into the KV store.
   constexpr int kBatch = 16;

@@ -86,7 +86,6 @@ class MauPipeline {
 
   const RegionQueryServer& server() const { return *server_; }
   const ExtendedQuadTree& index() const { return index_; }
-  const CombinationSearchResult& search_result() const { return search_; }
   const std::vector<int64_t>& test_timesteps() const { return test_; }
   const STDataset& dataset() const { return *dataset_; }
   /// \brief Wall-clock seconds spent in SearchOptimalCombinations.
@@ -96,7 +95,6 @@ class MauPipeline {
   MauPipeline() = default;
 
   const STDataset* dataset_ = nullptr;
-  CombinationSearchResult search_;
   ExtendedQuadTree index_;
   PredictionStore store_;
   std::unique_ptr<RegionQueryServer> server_;

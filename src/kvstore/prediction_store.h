@@ -93,13 +93,18 @@ class PredictionStore {
                              const TileDirtySet& dirty,
                              StageStats* stats = nullptr);
 
-  /// \brief Reads a full frame back from generation 0.
+  /// \brief Materializing copy of a whole frame (TiledFrame::Materialize):
+  /// O(cells) per call. For tests, tools and probes that want a plain
+  /// Tensor; nothing on the query path calls it.
   Result<Tensor> GetFrame(int layer, int64_t t) const;
   Result<Tensor> GetFrameAt(int64_t generation, int layer, int64_t t) const;
 
-  /// \brief Zero-copy tiled reads for the hot query path: a shared_ptr
-  /// fetch under a shared lock, no materialization. The returned object
-  /// outlives any concurrent reclamation of its generation.
+  /// \brief Zero-copy tiled reads, the query path's only frame and plane
+  /// read primitive: a shared_ptr fetch under a shared lock, no
+  /// materialization — a reader pays for the cells it touches, not the
+  /// frame area. The returned object (and every raw tile pointer taken
+  /// from it) outlives any concurrent reclamation of its generation for
+  /// as long as the caller holds the shared_ptr.
   Result<std::shared_ptr<const TiledFrame>> GetTiledFrameAt(
       int64_t generation, int layer, int64_t t) const;
   Result<std::shared_ptr<const TiledSatPlane>> GetTiledSatPlaneAt(
@@ -215,6 +220,18 @@ class PredictionStore {
   /// \brief Copies one entry's shared_ptrs under the shared lock; false
   /// when absent.
   bool SnapshotEntry(const Key& key, Entry* out) const;
+
+  /// \brief Copies one field of an entry under the shared lock (null when
+  /// absent): the hot read paths bump one refcount, not all three — the
+  /// control blocks are shared with every concurrent reader and with the
+  /// publisher's carry-forward and reclamation.
+  template <typename T>
+  std::shared_ptr<const T> SnapshotField(
+      const Key& key, std::shared_ptr<const T> Entry::*field) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : it->second.*field;
+  }
 
   mutable std::shared_mutex mu_;
   std::map<Key, Entry> entries_;

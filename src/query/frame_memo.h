@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,18 +16,19 @@
 #include "kvstore/prediction_store.h"
 #include "query/query_server.h"
 #include "tensor/gemm.h"
+#include "tensor/tiled_sat.h"
 
 namespace one4all {
 namespace query_internal {
 
-/// \brief Per-worker memo of prediction frames: one GetFrame per
+/// \brief Per-worker memo of prediction frames: one GetTiledFrameAt per
 /// (layer, t) instead of one per combination term.
 ///
-/// A flat key-sorted vector, not a map: the memo holds a handful of
-/// frames (layers x timesteps of one worker chunk), so binary search
-/// over contiguous keys beats pointer-chasing map nodes, and inserting
-/// shifts only cheap moved Tensors — the node churn used to show up in
-/// the gather stage timings.
+/// Holds the store's zero-copy TiledFrames and reads term cells in place,
+/// so a gather costs its terms, not the frame area. A flat key-sorted
+/// vector, not a map: the memo holds a handful of frames (layers x
+/// timesteps of one worker chunk), so binary search over contiguous keys
+/// beats pointer-chasing map nodes, and an insert shifts only shared_ptrs.
 class FrameMemo {
  public:
   FrameMemo(const PredictionStore* store, int64_t generation)
@@ -44,14 +46,13 @@ class FrameMemo {
                                    return e.first < k;
                                  });
       if (it == frames_.end() || it->first != key) {
-        Result<Tensor> frame =
-            store_->GetFrameAt(generation_, term.grid.layer, t);
+        Result<std::shared_ptr<const TiledFrame>> frame =
+            store_->GetTiledFrameAt(generation_, term.grid.layer, t);
         O4A_RETURN_NOT_OK(frame.status());
-        it = frames_.insert(it,
-                            Entry{key, frame.MoveValueUnsafe()});
+        it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
       }
       acc += static_cast<double>(term.sign) *
-             it->second.at(term.grid.row, term.grid.col);
+             static_cast<double>(it->second->at(term.grid.row, term.grid.col));
     }
     *value = acc;
     return Status::OK();
@@ -59,7 +60,7 @@ class FrameMemo {
 
  private:
   using Key = std::pair<int, int64_t>;
-  using Entry = std::pair<Key, Tensor>;
+  using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
 
   const PredictionStore* store_;
   int64_t generation_;

@@ -5,9 +5,26 @@
 #include <sstream>
 #include <utility>
 
+#include "tensor/tiled_sat.h"
+
 namespace one4all {
 
 namespace {
+
+/// \brief A residue cell before tile compilation: kept in cell
+/// coordinates until the program's order is fixed.
+struct PendingResidue {
+  int layer = 1;
+  int64_t row = 0, col = 0;
+  int8_t sign = 1;
+
+  bool operator<(const PendingResidue& o) const {
+    if (layer != o.layer) return layer < o.layer;
+    if (row != o.row) return row < o.row;
+    if (col != o.col) return col < o.col;
+    return sign < o.sign;
+  }
+};
 
 /// \brief A maximal vertical merge of identical horizontal runs:
 /// rows [r0, r1) x columns [c0, c1) of one (layer, sign) group.
@@ -19,7 +36,8 @@ struct PendingRect {
 /// reads, small ones fall back to per-cell residues (four corner reads
 /// would not beat their handful of direct reads).
 void EmitRect(const PendingRect& rect, int layer, int8_t sign,
-              int64_t layer_width, GatherProgram* program) {
+              GatherProgram* program,
+              std::vector<PendingResidue>* residues) {
   const int64_t cells = (rect.r1 - rect.r0) * (rect.c1 - rect.c0);
   if (cells >= kMinSatRectCells) {
     SatRectRead read;
@@ -35,8 +53,7 @@ void EmitRect(const PendingRect& rect, int layer, int8_t sign,
   }
   for (int64_t r = rect.r0; r < rect.r1; ++r) {
     for (int64_t c = rect.c0; c < rect.c1; ++c) {
-      program->residues.push_back(
-          ResidueRead{layer, 0, r * layer_width + c, sign});
+      residues->push_back(PendingResidue{layer, r, c, sign});
     }
   }
 }
@@ -55,6 +72,7 @@ std::string GatherProgram::Summary() const {
 GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
                                    const Hierarchy& hierarchy) {
   GatherProgram program;
+  std::vector<PendingResidue> residues;
 
   // Bucket term cells by (layer, sign); rect extraction must not merge
   // opposite signs, and a cell appearing twice with the same sign counts
@@ -70,7 +88,6 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
   for (auto& [key, cells] : groups) {
     const int layer = key.first;
     const int8_t sign = key.second;
-    const int64_t layer_width = hierarchy.layer(layer).width;
     std::sort(cells.begin(), cells.end());
 
     std::vector<std::pair<int64_t, int64_t>> unique;
@@ -79,8 +96,8 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
       if (unique.empty() || unique.back() != cell) {
         unique.push_back(cell);
       } else {
-        program.residues.push_back(ResidueRead{
-            layer, 0, cell.first * layer_width + cell.second, sign});
+        residues.push_back(
+            PendingResidue{layer, cell.first, cell.second, sign});
       }
     }
 
@@ -119,29 +136,39 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
             }
           }
         }
-        if (!extended) EmitRect(prev, layer, sign, layer_width, &program);
+        if (!extended) EmitRect(prev, layer, sign, &program, &residues);
       }
       open.swap(next_open);
       i = j;
     }
     for (const PendingRect& rect : open) {
-      EmitRect(rect, layer, sign, layer_width, &program);
+      EmitRect(rect, layer, sign, &program, &residues);
     }
   }
 
   // Deterministic program order: layers ascending, reads ascending
-  // within a layer (residue offsets ascending = contiguous frame sweep).
+  // within a layer. Residues stay in row-major cell order — the order a
+  // contiguous frame sweep visits them — and only then compile to tile
+  // coordinates, so the per-timestep sum is the same whichever layout
+  // the frame is read from.
   std::sort(program.rects.begin(), program.rects.end(),
             [](const SatRectRead& a, const SatRectRead& b) {
               if (a.layer != b.layer) return a.layer < b.layer;
               if (a.r0 != b.r0) return a.r0 < b.r0;
               return a.c0 < b.c0;
             });
-  std::sort(program.residues.begin(), program.residues.end(),
-            [](const ResidueRead& a, const ResidueRead& b) {
-              if (a.layer != b.layer) return a.layer < b.layer;
-              return a.offset < b.offset;
-            });
+  std::sort(residues.begin(), residues.end());
+  program.residues.reserve(residues.size());
+  for (const PendingResidue& cell : residues) {
+    const TileAddress address =
+        LocateCell(hierarchy.layer(cell.layer).width, cell.row, cell.col);
+    ResidueRead read;
+    read.layer = cell.layer;
+    read.tile = static_cast<int32_t>(address.tile);
+    read.tile_offset = static_cast<int32_t>(address.offset);
+    read.sign = cell.sign;
+    program.residues.push_back(read);
+  }
 
   for (const SatRectRead& read : program.rects) {
     if (program.layers.empty() ||

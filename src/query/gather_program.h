@@ -4,9 +4,11 @@
 //     within one layer, each answered by a four-corner read of that
 //     layer's summed-area plane (tensor/prefix_sum.h) — O(#rects)
 //     however many cells the rectangles cover, and
-//   - residue reads: the irregular leftovers, as flat element offsets
-//     into the layer frame precomputed once at resolve time and kept
-//     offset-sorted so the executor sweeps each frame contiguously.
+//   - residue reads: the irregular leftovers, precompiled to (tile,
+//     in-tile offset) coordinates of the layer's tiled frame
+//     (tensor/tiled_sat.h) so the executor reads each cell in place
+//     through the frame's tile table; kept in row-major cell order so
+//     the sum's term order is that of a contiguous frame sweep.
 // Compiled once per resolution (and therefore cached with it in the
 // ResolvedQueryCache); the QueryExecutor's kSatFastPath interprets it
 // against the epoch-pinned frame/plane set.
@@ -38,12 +40,14 @@ struct SatRectRead {
   int64_t num_cells() const { return (r1 - r0) * (c1 - c0); }
 };
 
-/// \brief One signed single-cell read at a precomputed flat offset
-/// (row * layer_width + col) into the layer frame.
+/// \brief One signed single-cell read, precompiled against the layer's
+/// extent: the cell's LocateCell address (tensor/tiled_sat.h) in the
+/// layer's tiled frame.
 struct ResidueRead {
   int layer = 1;
   int layer_index = 0;  ///< index into GatherProgram::layers
-  int64_t offset = 0;
+  int32_t tile = 0;
+  int32_t tile_offset = 0;
   int8_t sign = 1;
 };
 
@@ -61,7 +65,7 @@ struct GatherLayerNeed {
 /// double-rounding of the summed-area prefix arithmetic.
 struct GatherProgram {
   std::vector<SatRectRead> rects;      ///< layer-ascending
-  std::vector<ResidueRead> residues;   ///< (layer, offset)-ascending
+  std::vector<ResidueRead> residues;   ///< (layer, row, col)-ascending
   std::vector<GatherLayerNeed> layers; ///< distinct layers, ascending
   int64_t num_rect_terms = 0;  ///< terms folded into `rects`
 

@@ -113,24 +113,22 @@ QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
 /// \brief One (layer, t) the fast path needs, with whatever was fetched
 /// for it. Frames and planes are fetched once per *plan* (the exact path
 /// re-fetches per worker chunk), then read concurrently by every row.
-/// The hot row loop reads raw pointers hoisted at fetch time — no
-/// Result<> unwrapping per rect/residue read.
+/// Both are the store's zero-copy tiled objects (an O(1) refcount bump;
+/// the epoch pin keeps them alive); the hot row loop reads raw pointers
+/// hoisted at fetch time — no Result<> unwrapping per rect/residue read.
 struct FrameTableEntry {
   int layer = 0;
   int64_t t = 0;
   bool need_frame = false;
   bool need_plane = false;
-  /// Raw frame cells (null when the frame is missing; `error` says why).
-  const float* frame_data = nullptr;
-  int64_t frame_width = 0;
-  /// The tiled summed-area plane, shared straight out of the store
-  /// (an O(1) refcount bump, not a blob decode — the epoch pin keeps it
-  /// alive). Null: not published for this generation — rect reads then
-  /// fall back to direct sums over `frame_data`.
+  /// The tiled frame (null when missing; `error` says why) and its dense
+  /// per-tile cell pointers, indexed by ResidueRead::tile.
+  std::shared_ptr<const TiledFrame> frame;
+  const float* const* tiles = nullptr;
+  /// The tiled summed-area plane. Null: not published for this
+  /// generation — rect reads then fall back to direct sums over `frame`.
   std::shared_ptr<const TiledSatPlane> plane;
   Status error;  ///< frame fetch failure (typically NotFound)
-
-  Tensor frame_storage;  ///< owns frame_data
 };
 
 bool EntryKeyLess(const FrameTableEntry& e, std::pair<int, int64_t> key) {
@@ -144,21 +142,6 @@ const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
                              std::make_pair(layer, t), EntryKeyLess);
   O4A_DCHECK(it != table.end() && it->layer == layer && it->t == t);
   return &*it;
-}
-
-/// \brief Fallback rect sum when a generation carries no plane for this
-/// (layer, t): sum the frame rows directly. Still O(area), but contiguous
-/// and without per-cell term bookkeeping.
-double RectSumOnFrame(const float* data, int64_t width,
-                      const SatRectRead& rect) {
-  double acc = 0.0;
-  for (int64_t r = rect.r0; r < rect.r1; ++r) {
-    const float* row = data + r * width;
-    for (int64_t c = rect.c0; c < rect.c1; ++c) {
-      acc += static_cast<double>(row[c]);
-    }
-  }
-  return acc;
 }
 
 /// \brief Above this many (row, timestep) gather points the fast path's
@@ -206,8 +189,11 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
-                region, plan.spec.strategy, options.cache,
-                &slot.cache_hit);
+                region, plan.spec.strategy,
+                options.cache == nullptr
+                    ? RegionFingerprint{}
+                    : plan.FingerprintForSlot(static_cast<int>(s)),
+                options.cache, &slot.cache_hit);
             // Captured before evaluation so a hit reports only the
             // resolve-path latency, comparable to decompose+index.
             slot.probe_micros = probe.ElapsedMicros();
@@ -300,6 +286,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
     }
 
     const PredictionStore* store = server_->store();
+    const Hierarchy& hierarchy = *server_->hierarchy();
     query_internal::RunSharded(
         options.pool, options.num_threads,
         static_cast<int64_t>(table.size()),
@@ -327,15 +314,25 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
               }
             }
             if (entry.need_frame) {
-              Result<Tensor> frame = store->GetFrameAt(
-                  options.generation, entry.layer, entry.t);
-              if (frame.ok()) {
-                entry.frame_storage = frame.MoveValueUnsafe();
-                entry.frame_data = entry.frame_storage.data();
-                entry.frame_width = entry.frame_storage.dim(1);
-              } else {
+              Result<std::shared_ptr<const TiledFrame>> frame =
+                  store->GetTiledFrameAt(options.generation, entry.layer,
+                                         entry.t);
+              if (!frame.ok()) {
                 entry.error = frame.status();
+                continue;
               }
+              // Residues were compiled against the hierarchy's layer
+              // extent; a frame of any other shape would misplace them.
+              const LayerInfo& layer = hierarchy.layer(entry.layer);
+              if ((*frame)->height() != layer.height ||
+                  (*frame)->width() != layer.width) {
+                entry.error = Status::Internal(
+                    "stored frame extent does not match layer " +
+                    std::to_string(entry.layer));
+                continue;
+              }
+              entry.frame = frame.MoveValueUnsafe();
+              entry.tiles = entry.frame->tile_table();
             }
           }
         });
@@ -391,10 +388,10 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                   acc += static_cast<double>(rect.sign) *
                          entry->plane->RectSum(rect.r0, rect.c0, rect.r1,
                                                rect.c1);
-                } else if (entry->frame_data != nullptr) {
+                } else if (entry->frame != nullptr) {
                   acc += static_cast<double>(rect.sign) *
-                         RectSumOnFrame(entry->frame_data,
-                                        entry->frame_width, rect);
+                         entry->frame->RectSum(rect.r0, rect.c0, rect.r1,
+                                               rect.c1);
                 } else {
                   gather = entry->error;
                   break;
@@ -406,13 +403,13 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                     layer_bases[static_cast<size_t>(
                         residue.layer_index)] +
                     dt;
-                if (entry->frame_data == nullptr) {
+                if (entry->tiles == nullptr) {
                   gather = entry->error;
                   break;
                 }
                 acc += static_cast<double>(residue.sign) *
                        static_cast<double>(
-                           entry->frame_data[residue.offset]);
+                           entry->tiles[residue.tile][residue.tile_offset]);
               }
               if (!gather.ok()) break;
               series.push_back(acc);

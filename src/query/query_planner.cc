@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/stopwatch.h"
-#include "query/resolved_query_cache.h"
 
 namespace one4all {
 
@@ -51,11 +50,29 @@ QueryPlanner::QueryPlanner(const Hierarchy* hierarchy)
 
 Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
   Stopwatch timer;
+  std::vector<RegionFingerprint> fingerprints;
+  fingerprints.reserve(spec.regions.size());
+  for (const GridMask& region : spec.regions) {
+    fingerprints.push_back(FingerprintRegion(region, spec.strategy));
+  }
+  Result<QueryPlan> plan = Plan(std::move(spec), fingerprints);
+  if (plan.ok()) plan->plan_micros = timer.ElapsedMicros();
+  return plan;
+}
+
+Result<QueryPlan> QueryPlanner::Plan(
+    QuerySpec spec,
+    const std::vector<RegionFingerprint>& region_fingerprints) const {
+  Stopwatch timer;
   if (spec.kind == QuerySpecKind::kPointBatch) {
     return Status::InvalidArgument(
         "point-batch plans are built through PlanBatch");
   }
   O4A_RETURN_NOT_OK(spec.Validate(*hierarchy_));
+  if (region_fingerprints.size() != spec.regions.size()) {
+    return Status::InvalidArgument(
+        "region fingerprints do not match the spec's regions");
+  }
 
   QueryPlan plan;
   plan.spec = std::move(spec);
@@ -69,12 +86,12 @@ Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
 
   plan.rows.reserve(plan.spec.regions.size());
   for (size_t i = 0; i < plan.spec.regions.size(); ++i) {
-    const RegionFingerprint fp =
-        FingerprintRegion(plan.spec.regions[i], plan.spec.strategy);
+    const RegionFingerprint& fp = region_fingerprints[i];
     auto inserted =
         slot_of.emplace(fp, static_cast<int>(plan.slot_regions.size()));
     if (inserted.second) {
       plan.slot_regions.push_back(static_cast<int>(i));
+      plan.slot_fingerprints.push_back(fp);
     }
     PlanRow row;
     row.region_slot = inserted.first->second;

@@ -11,6 +11,7 @@
 
 #include "query/query_server.h"
 #include "query/query_spec.h"
+#include "query/resolved_query_cache.h"
 
 namespace one4all {
 
@@ -45,6 +46,11 @@ struct QueryPlan {
   /// shim guarantees this; no mask is copied on the hot batch path).
   /// Empty for spec shapes, which own their regions in spec.regions.
   std::vector<const GridMask*> borrowed_regions;
+  /// Spec shapes only: FingerprintRegion of each slot's region, aligned
+  /// with slot_regions — computed once per region per spec and handed to
+  /// the resolve cache, so no stage rehashes a mask. Empty for the legacy
+  /// batch adapter (FingerprintForSlot computes on demand).
+  std::vector<RegionFingerprint> slot_fingerprints;
   std::vector<PlanRow> rows;
   double plan_micros = 0.0;  ///< time spent compiling this plan
 
@@ -54,6 +60,13 @@ struct QueryPlan {
     }
     return spec.regions[static_cast<size_t>(
         slot_regions[static_cast<size_t>(slot)])];
+  }
+
+  RegionFingerprint FingerprintForSlot(int slot) const {
+    if (!slot_fingerprints.empty()) {
+      return slot_fingerprints[static_cast<size_t>(slot)];
+    }
+    return FingerprintRegion(RegionForSlot(slot), spec.strategy);
   }
 
   /// \brief Admission-control cost: total (region, t) gather points.
@@ -76,6 +89,14 @@ class QueryPlanner {
 
   /// \brief Compiles one of the four client-facing spec shapes.
   Result<QueryPlan> Plan(QuerySpec spec) const;
+
+  /// \brief Plan() with each region's FingerprintRegion(region,
+  /// spec.strategy) already computed by the caller (aligned with
+  /// spec.regions), so a spec is fingerprinted once however many stages
+  /// key on it. InvalidArgument when the sizes disagree.
+  Result<QueryPlan> Plan(
+      QuerySpec spec,
+      const std::vector<RegionFingerprint>& region_fingerprints) const;
 
   /// \brief Legacy adapter: arbitrary (region, t) pairs, one row and one
   /// resolve-cache probe per pair (no dedup — BatchPredict's observable

@@ -142,12 +142,24 @@ RegionQueryServer::ResolveCached(const GridMask& region,
                                  QueryStrategy strategy,
                                  ResolvedQueryCache* cache,
                                  bool* cache_hit) const {
+  // Without a cache there is nothing to key, so skip the hash.
+  return ResolveCached(region, strategy,
+                       cache == nullptr ? RegionFingerprint{}
+                                        : FingerprintRegion(region, strategy),
+                       cache, cache_hit);
+}
+
+Result<std::shared_ptr<const ResolvedQuery>>
+RegionQueryServer::ResolveCached(const GridMask& region,
+                                 QueryStrategy strategy,
+                                 const RegionFingerprint& fp,
+                                 ResolvedQueryCache* cache,
+                                 bool* cache_hit) const {
   if (cache_hit != nullptr) *cache_hit = false;
   if (cache == nullptr) {
     O4A_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(region, strategy));
     return std::make_shared<const ResolvedQuery>(std::move(resolved));
   }
-  const RegionFingerprint fp = FingerprintRegion(region, strategy);
   if (std::shared_ptr<const ResolvedQuery> hit = cache->Get(fp)) {
     if (cache_hit != nullptr) *cache_hit = true;
     return hit;

@@ -4,35 +4,32 @@
 
 namespace one4all {
 
-namespace {
-
-inline uint64_t Mix64(uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashMask(const GridMask& region, QueryStrategy strategy,
-                  uint64_t seed) {
-  uint64_t h = Mix64(seed ^ static_cast<uint64_t>(strategy));
-  h = Mix64(h ^ static_cast<uint64_t>(region.height()));
-  h = Mix64(h ^ static_cast<uint64_t>(region.width()));
-  // GridMask already stores cells packed 64 per word in row-major bit
-  // order with zeroed trailing bits, so one mix per word hashes the mask
-  // without touching individual cells.
-  for (const uint64_t word : region.words()) h = Mix64(h ^ word);
-  return h;
-}
-
-}  // namespace
-
 RegionFingerprint FingerprintRegion(const GridMask& region,
                                     QueryStrategy strategy) {
+  // Two lanes with independent seeds and index multipliers, computed in
+  // one pass. GridMask stores cells packed 64 per word in row-major bit
+  // order with zeroed trailing bits, so only nonzero words carry
+  // content: each is mixed in together with its word index (a region
+  // costs the words it touches, not the raster size), and the extents
+  // seed both lanes so equal words over different rasters differ.
+  const uint64_t tag = static_cast<uint64_t>(strategy);
+  uint64_t lo = FingerprintMix64(0x0123456789abcdefull ^ tag);
+  uint64_t hi = FingerprintMix64(0xfedcba9876543210ull ^ tag);
+  lo = FingerprintMix64(lo ^ static_cast<uint64_t>(region.height()));
+  hi = FingerprintMix64(hi ^ static_cast<uint64_t>(region.height()));
+  lo = FingerprintMix64(lo ^ static_cast<uint64_t>(region.width()));
+  hi = FingerprintMix64(hi ^ static_cast<uint64_t>(region.width()));
+  const std::vector<uint64_t>& words = region.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    const uint64_t word = words[i];
+    if (word == 0) continue;
+    const uint64_t index = static_cast<uint64_t>(i) + 1;
+    lo = FingerprintMix64(lo ^ word) + index * 0x9e3779b97f4a7c15ull;
+    hi = FingerprintMix64(hi ^ word) + index * 0xc2b2ae3d27d4eb4full;
+  }
   RegionFingerprint fp;
-  fp.lo = HashMask(region, strategy, 0x0123456789abcdefull);
-  fp.hi = HashMask(region, strategy, 0xfedcba9876543210ull);
+  fp.lo = FingerprintMix64(lo);
+  fp.hi = FingerprintMix64(hi);
   return fp;
 }
 

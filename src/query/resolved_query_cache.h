@@ -22,8 +22,11 @@ namespace one4all {
 
 /// \brief 128-bit content fingerprint of a (region mask, strategy) pair.
 ///
-/// Two independent 64-bit mixes over the mask cells; the probability of a
-/// collision across realistic cache populations is negligible.
+/// Two independent 64-bit mixes, computed in one pass over the mask's
+/// nonzero words (each mixed with its word index, both lanes seeded with
+/// the extents and strategy); the probability of a collision across
+/// realistic cache populations is negligible. Computed once per region
+/// per spec: the plan carries it to the resolve cache and the top-k memo.
 struct RegionFingerprint {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -35,6 +38,15 @@ struct RegionFingerprint {
 
 RegionFingerprint FingerprintRegion(const GridMask& region,
                                     QueryStrategy strategy);
+
+/// \brief splitmix64 finalizer: FingerprintRegion's word mixer, shared
+/// with the top-k memo's spec fold.
+inline uint64_t FingerprintMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// \brief Hash functor for RegionFingerprint keys — shared by the cache
 /// shards and the query planner's region-dedup map.

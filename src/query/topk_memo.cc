@@ -7,25 +7,6 @@
 
 namespace one4all {
 
-namespace {
-
-/// FNV-1a over an arbitrary byte run.
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t HashValue(uint64_t v, uint64_t seed) {
-  return HashBytes(&v, sizeof(v), seed);
-}
-
-}  // namespace
-
 TopKMemo::TopKMemo(const Hierarchy* hierarchy, TopKMemoOptions options)
     : hierarchy_(hierarchy), options_(options) {
   O4A_CHECK(hierarchy != nullptr);
@@ -33,31 +14,41 @@ TopKMemo::TopKMemo(const Hierarchy* hierarchy, TopKMemoOptions options)
   O4A_CHECK_GT(options_.history, 0u);
 }
 
-uint64_t TopKMemo::Fingerprint(const QuerySpec& spec) {
-  uint64_t h = 14695981039346656037ULL;
-  h = HashValue(static_cast<uint64_t>(spec.kind), h);
-  h = HashValue(static_cast<uint64_t>(spec.aggregation), h);
-  h = HashValue(static_cast<uint64_t>(spec.strategy), h);
-  h = HashValue(static_cast<uint64_t>(spec.eval_path), h);
-  h = HashValue(static_cast<uint64_t>(spec.top_k), h);
-  h = HashValue(spec.keep_series ? 1 : 0, h);
-  h = HashValue(spec.regions.size(), h);
-  for (const GridMask& region : spec.regions) {
-    h = HashValue(static_cast<uint64_t>(region.height()), h);
-    h = HashValue(static_cast<uint64_t>(region.width()), h);
-    h = HashBytes(region.words().data(),
-                  region.words().size() * sizeof(uint64_t), h);
-  }
-  return h;
-}
-
-bool TopKMemo::SameSpecShape(const QuerySpec& a, const QuerySpec& b) {
+bool TopKMemo::SpecKey::operator==(const SpecKey& other) const {
   // Everything but the time selector — that is exactly the subscription
   // pattern: same question, advancing timestep.
-  return a.kind == b.kind && a.aggregation == b.aggregation &&
-         a.strategy == b.strategy && a.eval_path == b.eval_path &&
-         a.top_k == b.top_k && a.keep_series == b.keep_series &&
-         a.regions == b.regions;
+  return kind == other.kind && aggregation == other.aggregation &&
+         strategy == other.strategy && eval_path == other.eval_path &&
+         top_k == other.top_k && keep_series == other.keep_series &&
+         regions == other.regions;
+}
+
+TopKMemo::SpecKey TopKMemo::KeyOf(
+    const QuerySpec& spec, const std::vector<RegionFingerprint>& regions) {
+  SpecKey key;
+  key.kind = spec.kind;
+  key.aggregation = spec.aggregation;
+  key.strategy = spec.strategy;
+  key.eval_path = spec.eval_path;
+  key.top_k = spec.top_k;
+  key.keep_series = spec.keep_series;
+  key.regions = regions;
+  return key;
+}
+
+uint64_t TopKMemo::Fingerprint(const SpecKey& key) {
+  uint64_t h = FingerprintMix64(static_cast<uint64_t>(key.kind));
+  h = FingerprintMix64(h ^ static_cast<uint64_t>(key.aggregation));
+  h = FingerprintMix64(h ^ static_cast<uint64_t>(key.strategy));
+  h = FingerprintMix64(h ^ static_cast<uint64_t>(key.eval_path));
+  h = FingerprintMix64(h ^ static_cast<uint64_t>(key.top_k));
+  h = FingerprintMix64(h ^ (key.keep_series ? 1u : 0u));
+  h = FingerprintMix64(h ^ key.regions.size());
+  for (const RegionFingerprint& region : key.regions) {
+    h = FingerprintMix64(h ^ region.lo);
+    h = FingerprintMix64(h ^ region.hi);
+  }
+  return h;
 }
 
 CellRect TopKMemo::FootprintOf(const GridMask& region) const {
@@ -132,16 +123,20 @@ void TopKMemo::Invalidate() {
   publishes_.clear();
 }
 
-TopKMemo::Probe TopKMemo::Lookup(const QuerySpec& spec) {
+TopKMemo::Probe TopKMemo::Lookup(
+    const QuerySpec& spec,
+    const std::vector<RegionFingerprint>& region_fingerprints) {
   Probe probe;
   if (spec.kind != QuerySpecKind::kTopK || !spec.time.IsPoint()) {
     return probe;
   }
-  const uint64_t fp = Fingerprint(spec);
+  O4A_CHECK_EQ(region_fingerprints.size(), spec.regions.size());
+  const SpecKey key = KeyOf(spec, region_fingerprints);
+  const uint64_t fp = Fingerprint(key);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.begin();
   for (; it != entries_.end(); ++it) {
-    if (it->fingerprint == fp && SameSpecShape(it->spec, spec)) break;
+    if (it->fingerprint == fp && it->key == key) break;
   }
   if (it == entries_.end()) return probe;
   entries_.splice(entries_.begin(), entries_, it);  // LRU touch
@@ -174,14 +169,18 @@ TopKMemo::Probe TopKMemo::Lookup(const QuerySpec& spec) {
   return probe;
 }
 
-void TopKMemo::Store(const QuerySpec& spec,
-                     const std::vector<Result<QueryRow>>& rows) {
+void TopKMemo::Store(
+    const QuerySpec& spec,
+    const std::vector<RegionFingerprint>& region_fingerprints,
+    const std::vector<Result<QueryRow>>& rows) {
   if (spec.kind != QuerySpecKind::kTopK || !spec.time.IsPoint()) return;
   if (rows.size() != spec.regions.size()) return;
-  const uint64_t fp = Fingerprint(spec);
+  O4A_CHECK_EQ(region_fingerprints.size(), spec.regions.size());
+  SpecKey key = KeyOf(spec, region_fingerprints);
+  const uint64_t fp = Fingerprint(key);
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint == fp && SameSpecShape(it->spec, spec)) {
+    if (it->fingerprint == fp && it->key == key) {
       it->t = spec.time.t0;
       it->rows = rows;
       entries_.splice(entries_.begin(), entries_, it);
@@ -190,7 +189,7 @@ void TopKMemo::Store(const QuerySpec& spec,
   }
   Entry entry;
   entry.fingerprint = fp;
-  entry.spec = spec;
+  entry.key = std::move(key);
   entry.t = spec.time.t0;
   entry.rows = rows;
   entry.footprints.reserve(spec.regions.size());

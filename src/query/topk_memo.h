@@ -8,6 +8,11 @@
 // may carry over verbatim — the executor then re-gathers only the rows
 // the churn could have moved, and the ranking is re-sorted locally.
 //
+// A spec is identified by its knobs and its regions' 128-bit
+// fingerprints (the ones the resolve cache keys on, computed once per
+// spec by the serving runtime), so a probe costs O(regions), never a
+// pass over whole masks.
+//
 // Soundness over cleverness: a row is reused only when every publish
 // since its memoized timestep is in the history window AND carries a
 // known dirty set that misses the row's footprint at every layer. The
@@ -29,6 +34,7 @@
 #include "grid/hierarchy.h"
 #include "query/query_executor.h"
 #include "query/query_spec.h"
+#include "query/resolved_query_cache.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
@@ -73,15 +79,21 @@ class TopKMemo {
   };
 
   /// \brief Probes for `spec` (must be a point-selector kTopK; anything
-  /// else misses). A hit proves, per row, whether the memoized value is
-  /// still exact at spec.time.t0 given every publish since memo_t.
-  /// Non-const: a hit refreshes the entry's LRU position.
-  Probe Lookup(const QuerySpec& spec);
+  /// else misses). `region_fingerprints` holds FingerprintRegion of each
+  /// spec region (aligned with spec.regions): entries match on those and
+  /// the spec's knobs, never on whole masks. A hit proves, per row,
+  /// whether the memoized value is still exact at spec.time.t0 given
+  /// every publish since memo_t. Non-const: a hit refreshes the entry's
+  /// LRU position.
+  Probe Lookup(const QuerySpec& spec,
+               const std::vector<RegionFingerprint>& region_fingerprints);
 
   /// \brief Memoizes `rows` as the evaluation of `spec` at its (point)
   /// timestep. Failed rows are stored too — they stay failed until
   /// their footprint churns. Non-top-k / non-point specs are ignored.
-  void Store(const QuerySpec& spec, const std::vector<Result<QueryRow>>& rows);
+  void Store(const QuerySpec& spec,
+             const std::vector<RegionFingerprint>& region_fingerprints,
+             const std::vector<Result<QueryRow>>& rows);
 
   /// \brief RankTopK's exact ordering (value desc, ties toward the lower
   /// row index, failed rows skipped, clamped to k) over free rows —
@@ -108,9 +120,23 @@ class TopKMemo {
     DirtyTileSets dirty;     ///< per layer, [layer-1]; empty if all_dirty
   };
 
+  /// \brief What identifies a memoized spec: every knob but the time
+  /// selector, plus the per-region 128-bit fingerprints.
+  struct SpecKey {
+    QuerySpecKind kind = QuerySpecKind::kTopK;
+    TimeAggregation aggregation = TimeAggregation::kSum;
+    QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
+    EvalPath eval_path = EvalPath::kExactCellLoop;
+    int top_k = 0;
+    bool keep_series = false;
+    std::vector<RegionFingerprint> regions;
+
+    bool operator==(const SpecKey& other) const;
+  };
+
   struct Entry {
-    uint64_t fingerprint = 0;
-    QuerySpec spec;  ///< regions + knobs, for exact-match verification
+    uint64_t fingerprint = 0;  ///< Fingerprint(key), checked before `key`
+    SpecKey key;
     int64_t t = -1;  ///< timestep the rows were evaluated at
     std::vector<Result<QueryRow>> rows;
     /// Per region: atomic bbox rounded out to the coarsest scale (the
@@ -118,8 +144,10 @@ class TopKMemo {
     std::vector<CellRect> footprints;
   };
 
-  static uint64_t Fingerprint(const QuerySpec& spec);
-  static bool SameSpecShape(const QuerySpec& a, const QuerySpec& b);
+  static SpecKey KeyOf(const QuerySpec& spec,
+                       const std::vector<RegionFingerprint>& regions);
+  /// \brief Folds a key into one 64-bit word: O(regions), never O(mask).
+  static uint64_t Fingerprint(const SpecKey& key);
   CellRect FootprintOf(const GridMask& region) const;
   /// \brief True iff `record` cannot have changed any cell of `footprint`.
   bool FootprintClean(const CellRect& footprint,

@@ -203,8 +203,16 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
                              spec.time.IsPoint();
   TopKMemo::Probe probe;
   std::vector<int> stale_rows;
+  // Each region is fingerprinted once per spec: the memo keys on these,
+  // and the planner hands them on to the resolve cache. Non-memo specs
+  // leave it to the planner, inside the plan stage.
+  std::vector<RegionFingerprint> fingerprints;
   if (memo_eligible) {
-    probe = topk_memo_.Lookup(spec);
+    fingerprints.reserve(spec.regions.size());
+    for (const GridMask& region : spec.regions) {
+      fingerprints.push_back(FingerprintRegion(region, spec.strategy));
+    }
+    probe = topk_memo_.Lookup(spec, fingerprints);
     if (probe.hit) {
       for (size_t i = 0; i < probe.clean.size(); ++i) {
         if (!probe.clean[i]) stale_rows.push_back(static_cast<int>(i));
@@ -241,15 +249,18 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
       result.top_k = TopKMemo::RankRows(result.rows, spec.top_k);
       result.timings.rank_micros = rank_timer.ElapsedMicros();
     }
-    topk_memo_.Store(spec, result.rows);  // re-anchor the entry at t
+    // Re-anchor the entry at t.
+    topk_memo_.Store(spec, fingerprints, result.rows);
     topk_memo_.CountReuse(num_rows, 0);
     ReleaseQueries(cost);
     RecordRowOutcomes(result.rows);
     return result;
   }
 
-  QuerySpec memo_spec;  // the original, kept for the post-exec Store
-  if (memo_eligible) memo_spec = spec;
+  // On partial reuse the plan runs a sub-spec; the original top-k spec
+  // moves here for the post-exec Store (otherwise the plan keeps it).
+  QuerySpec memo_spec;
+  std::vector<RegionFingerprint> plan_fingerprints;
   if (probe.hit) {
     // Partial reuse: re-gather only the churned rows. A multi-region
     // sub-spec evaluates each region through the identical resolve /
@@ -258,22 +269,29 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     QuerySpec sub;
     sub.kind = QuerySpecKind::kMultiRegion;
     sub.regions.reserve(stale_rows.size());
+    plan_fingerprints.reserve(stale_rows.size());
     for (const int idx : stale_rows) {
       sub.regions.push_back(spec.regions[static_cast<size_t>(idx)]);
+      plan_fingerprints.push_back(fingerprints[static_cast<size_t>(idx)]);
     }
     sub.time = spec.time;
     sub.aggregation = spec.aggregation;
     sub.strategy = spec.strategy;
     sub.eval_path = spec.eval_path;
     sub.keep_series = spec.keep_series;
+    memo_spec = std::move(spec);
     spec = std::move(sub);
+  } else {
+    plan_fingerprints = std::move(fingerprints);
   }
 
   QueryPlanner planner(hierarchy_);
   Result<QueryPlan> plan = Status::Internal("not planned");
   {
     ScopedSpan plan_span(&trace_ctx, SpanName::kPlan, num_rows);
-    plan = planner.Plan(std::move(spec));
+    plan = plan_fingerprints.empty()
+               ? planner.Plan(std::move(spec))
+               : planner.Plan(std::move(spec), plan_fingerprints);
   }
   if (!plan.ok()) {
     ReleaseQueries(cost);
@@ -333,7 +351,12 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     topk_memo_.CountReuse(num_rows - eval_rows, eval_rows);
     result = std::move(merged);
   }
-  if (memo_eligible) topk_memo_.Store(memo_spec, result.rows);
+  if (memo_eligible) {
+    // Unless a sub-spec ran, the plan holds the original spec.
+    topk_memo_.Store(probe.hit ? memo_spec : plan->spec,
+                     probe.hit ? fingerprints : plan_fingerprints,
+                     result.rows);
+  }
   ReleaseQueries(cost);
   RecordRowOutcomes(result.rows);
   return result;

@@ -32,30 +32,32 @@ struct ShardSlot {
   int64_t num_steps() const { return t_max - t_min + 1; }
 };
 
-/// \brief Band-local twin of FrameMemo: one GetFrame per (layer, t),
-/// handing back the raw slice tensor so the caller reads individual
-/// term cells (FrameMemo folds; the scatter stage must not).
+/// \brief Band-local twin of FrameMemo: one GetTiledFrameAt per
+/// (layer, t), handing back the zero-copy slice frame so the caller reads
+/// individual term cells in place (FrameMemo folds; the scatter stage
+/// must not).
 class BandFrameMemo {
  public:
   BandFrameMemo(const PredictionStore* store, int64_t generation)
       : store_(store), generation_(generation) {}
 
-  Result<const Tensor*> Get(int layer, int64_t t) {
+  Result<const TiledFrame*> Get(int layer, int64_t t) {
     const Key key{layer, t};
     auto it = std::lower_bound(
         frames_.begin(), frames_.end(), key,
         [](const Entry& e, const Key& k) { return e.first < k; });
     if (it == frames_.end() || it->first != key) {
-      Result<Tensor> frame = store_->GetFrameAt(generation_, layer, t);
+      Result<std::shared_ptr<const TiledFrame>> frame =
+          store_->GetTiledFrameAt(generation_, layer, t);
       O4A_RETURN_NOT_OK(frame.status());
       it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
     }
-    return &it->second;
+    return it->second.get();
   }
 
  private:
   using Key = std::pair<int, int64_t>;
-  using Entry = std::pair<Key, Tensor>;
+  using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
 
   const PredictionStore* store_;
   int64_t generation_;
@@ -118,6 +120,7 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
+                plan.FingerprintForSlot(static_cast<int>(s)),
                 &shards_->shard(slot.home_shard).cache, &slot.cache_hit);
             slot.probe_micros = probe.ElapsedMicros();
             probe_span.set_arg(slot.cache_hit ? 1 : 0);
@@ -220,7 +223,7 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
               const int64_t local_row =
                   map.LocalRow(static_cast<int>(k), term.grid);
               for (int64_t dt = 0; dt < steps; ++dt) {
-                Result<const Tensor*> frame =
+                Result<const TiledFrame*> frame =
                     memo.Get(term.grid.layer, slot.t_min + dt);
                 if (!frame.ok()) {
                   shard_failures[static_cast<size_t>(k)].push_back(

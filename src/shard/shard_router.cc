@@ -11,10 +11,14 @@ ShardRouter::ShardRouter(const ShardMap* map) : map_(map) {
 }
 
 int ShardRouter::HomeShard(const GridMask& region) const {
-  for (int64_t r = 0; r < region.height(); ++r) {
-    for (int64_t c = 0; c < region.width(); ++c) {
-      if (region.at(r, c)) return map_->OwnerOfAtomicRow(r);
-    }
+  // The first set cell in row-major order is the lowest set bit of the
+  // first nonzero packed word: a word scan, not a cell-by-cell sweep.
+  const std::vector<uint64_t>& words = region.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == 0) continue;
+    const int64_t cell =
+        static_cast<int64_t>(i) * 64 + __builtin_ctzll(words[i]);
+    return map_->OwnerOfAtomicRow(cell / region.width());
   }
   return 0;  // empty region (planner validation rejects these)
 }

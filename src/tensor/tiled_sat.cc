@@ -121,6 +121,7 @@ TiledFrame TiledFrame::FromTensor(const Tensor& frame) {
           std::move(block);
     }
   }
+  out.RefreshBlockPointers();
   return out;
 }
 
@@ -162,8 +163,39 @@ TiledFrame TiledFrame::FromDelta(const Tensor& frame, const TiledFrame& base,
       out.blocks_[k] = std::move(block);
     }
   }
+  out.RefreshBlockPointers();
   if (shared_tiles != nullptr) *shared_tiles = shared;
   return out;
+}
+
+void TiledFrame::RefreshBlockPointers() {
+  block_data_.resize(blocks_.size());
+  for (size_t k = 0; k < blocks_.size(); ++k) {
+    block_data_[k] = blocks_[k]->data();
+  }
+}
+
+double TiledFrame::RectSum(int64_t r0, int64_t c0, int64_t r1,
+                           int64_t c1) const {
+  O4A_DCHECK(r0 >= 0 && c0 >= 0 && r1 <= h_ && c1 <= w_);
+  double acc = 0.0;
+  if (r0 >= r1 || c0 >= c1) return acc;
+  const int64_t j0 = c0 / kSatTileSize;
+  const int64_t j1 = (c1 - 1) / kSatTileSize;
+  for (int64_t r = r0; r < r1; ++r) {
+    const int64_t i = r / kSatTileSize;
+    const int64_t r_in = r - i * kSatTileSize;
+    for (int64_t j = j0; j <= j1; ++j) {
+      const int64_t tile_c0 = j * kSatTileSize;
+      const int64_t tw = tile_cols(j);
+      const float* row = block(i, j) + r_in * tw;
+      const int64_t end = std::min(c1, tile_c0 + tw) - tile_c0;
+      for (int64_t c = std::max(c0, tile_c0) - tile_c0; c < end; ++c) {
+        acc += static_cast<double>(row[c]);
+      }
+    }
+  }
+  return acc;
 }
 
 Tensor TiledFrame::Materialize() const {

@@ -99,9 +99,42 @@ class TileDirtySet {
 /// vector (or an empty element) means "unknown — stage everything".
 using DirtyTileSets = std::vector<TileDirtySet>;
 
+/// \brief Where one cell lives in the tiled frame layout.
+struct TileAddress {
+  int64_t tile = 0;    ///< i * tiles_w + j for tile (i, j) = (r, c) / T
+  int64_t offset = 0;  ///< row-major offset inside the tile's block
+};
+
+/// \brief Locates cell (r, c) of a frame `width` cells wide: tile
+/// (r / T, c / T), in-tile offset (r % T) * tile_cols + c % T, where
+/// tile_cols is T except in a ragged last tile column. The one
+/// definition of the layout — TiledFrame::at and the gather compiler's
+/// residue reads both go through it.
+inline TileAddress LocateCell(int64_t width, int64_t r, int64_t c) {
+  // All operands are non-negative; unsigned division compiles to shifts.
+  const uint64_t t = static_cast<uint64_t>(kSatTileSize);
+  const uint64_t tiles_w = (static_cast<uint64_t>(width) + t - 1) / t;
+  const uint64_t i = static_cast<uint64_t>(r) / t;
+  const uint64_t j = static_cast<uint64_t>(c) / t;
+  const uint64_t tile_cols =
+      j + 1 < tiles_w ? t : static_cast<uint64_t>(width) - j * t;
+  TileAddress address;
+  address.tile = static_cast<int64_t>(i * tiles_w + j);
+  address.offset = static_cast<int64_t>(
+      (static_cast<uint64_t>(r) - i * t) * tile_cols +
+      (static_cast<uint64_t>(c) - j * t));
+  return address;
+}
+
 /// \brief One [h, w] float frame stored as shared tile blocks. Copying a
 /// TiledFrame copies tiles_h x tiles_w shared_ptrs, never cell data —
 /// that is the copy-on-write carry-forward. Immutable once built.
+///
+/// This is also the query path's read primitive: readers hold the
+/// store's shared_ptr and read cells in place (at(), or tile_table() plus
+/// an in-tile offset), so a read costs what it touches, never the frame
+/// area. Tile (i, j) is row-major inside its block with row stride
+/// tile_cols(j).
 class TiledFrame {
  public:
   TiledFrame() = default;
@@ -134,8 +167,12 @@ class TiledFrame {
   }
 
   const float* block(int64_t i, int64_t j) const {
-    return blocks_[static_cast<size_t>(i * tiles_w_ + j)]->data();
+    return block_data_[static_cast<size_t>(i * tiles_w_ + j)];
   }
+  /// \brief Dense raw-pointer table of tile cells: entry k = i *
+  /// tiles_w() + j is tile (i, j)'s block (one load, no shared_ptr +
+  /// vector chase). Valid while this frame (or a copy) is alive.
+  const float* const* tile_table() const { return block_data_.data(); }
   /// \brief Whether tile (i, j) aliases the same block as `other`'s.
   bool SharesBlockWith(const TiledFrame& other, int64_t i,
                        int64_t j) const {
@@ -145,21 +182,34 @@ class TiledFrame {
 
   float at(int64_t r, int64_t c) const {
     O4A_DCHECK(r >= 0 && r < h_ && c >= 0 && c < w_);
-    const int64_t i = r / kSatTileSize, j = c / kSatTileSize;
-    return block(i, j)[(r - i * kSatTileSize) * tile_cols(j) +
-                       (c - j * kSatTileSize)];
+    const TileAddress address = LocateCell(w_, r, c);
+    return block_data_[static_cast<size_t>(address.tile)][address.offset];
   }
 
-  /// \brief Contiguous [h, w] copy (exact-path frame reads, residue
-  /// sweeps): O(cells), same cost the old blob decode paid.
+  /// \brief Sum of the cells of the half-open rect [r0, r1) x [c0, c1),
+  /// accumulated in double row by row, left to right — the order a
+  /// contiguous row-major sweep takes — over in-place tile row
+  /// segments. O(rect area), no copy.
+  double RectSum(int64_t r0, int64_t c0, int64_t r1, int64_t c1) const;
+
+  /// \brief Contiguous [h, w] copy: O(cells). For tests, tools and
+  /// probes that want a plain Tensor; the query path reads in place.
   Tensor Materialize() const;
 
  private:
   using Block = std::shared_ptr<const std::vector<float>>;
 
+  /// \brief Refills block_data_ from blocks_. Must run once the blocks
+  /// are final (end of FromTensor/FromDelta).
+  void RefreshBlockPointers();
+
   int64_t h_ = 0, w_ = 0;
   int64_t tiles_h_ = 0, tiles_w_ = 0;
   std::vector<Block> blocks_;
+  /// blocks_[k]->data(), the twin of TiledSatPlane::local_data_. Valid as
+  /// long as blocks_ holds the blocks; copies stay correct because they
+  /// share those blocks.
+  std::vector<const float*> block_data_;
 };
 
 /// \brief Two-level summed-area plane over a TiledFrame. Same query

@@ -1,14 +1,20 @@
-// Unit tests for src/core: Status/Result, Rng, TablePrinter, Stopwatch.
+// Unit tests for src/core: Status/Result, Rng, TablePrinter, Stopwatch,
+// and ThreadPool's affinity-aware core count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/stopwatch.h"
 #include "core/table_printer.h"
+#include "core/thread_pool.h"
 
 namespace one4all {
 namespace {
@@ -209,6 +215,30 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   sw.Restart();
   EXPECT_LT(sw.ElapsedMillis(), 15.0);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, HardwareThreadsCountsTheAffinityMask) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(ThreadPool::HardwareThreads(), CPU_COUNT(&set));
+
+  // Pinned to one core, a thread sees one usable core, however many the
+  // machine has. Only this helper thread's own affinity changes.
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &set)) ++first_cpu;
+  int pinned_threads = -1;
+  std::thread pinned([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    pinned_threads = ThreadPool::HardwareThreads();
+  });
+  pinned.join();
+  EXPECT_EQ(pinned_threads, 1);
+}
+#endif
 
 }  // namespace
 }  // namespace one4all

@@ -181,9 +181,12 @@ TEST(GatherProgramTest, SmallRectsStayResidues) {
   const GatherProgram program = CompileGatherProgram(terms, hierarchy);
   EXPECT_TRUE(program.rects.empty());
   EXPECT_EQ(program.residues.size(), 3u);
-  // Residues are offset-sorted: the executor sweeps the frame forward.
-  EXPECT_LT(program.residues[0].offset, program.residues[1].offset);
-  EXPECT_LT(program.residues[1].offset, program.residues[2].offset);
+  // Residues are in row-major cell order (the frame sweep's order); an
+  // 8x8 layer is one tile, so in-tile offsets are the flat offsets.
+  EXPECT_EQ(program.residues[0].tile, 0);
+  EXPECT_EQ(program.residues[0].tile_offset, 0);
+  EXPECT_EQ(program.residues[1].tile_offset, 1);
+  EXPECT_EQ(program.residues[2].tile_offset, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,6 +236,36 @@ TEST(PredictionStoreTest, CopyAndDropGeneration) {
             StatusCode::kNotFound);
 }
 
+TEST(PredictionStoreTest, CopyGenerationOverwritesTrimsAndKeepsNeighbours) {
+  // The copy walks source and target keys in order with insert hints; it
+  // must still overwrite keys the target already holds, honour min_t,
+  // copy into an older generation than the source, and leave every other
+  // generation alone.
+  PredictionStore store;
+  for (int64_t t = 0; t < 4; ++t) {
+    for (int layer = 1; layer <= 2; ++layer) {
+      store.SyncFrameAt(7, layer, t,
+                        Tensor::Full({2, 2}, static_cast<float>(10 * layer + t)));
+    }
+  }
+  store.SyncFrameAt(3, 2, 3, Tensor::Full({2, 2}, -1.0f));  // overwritten
+  store.SyncFrameAt(3, 2, 9, Tensor::Full({2, 2}, -2.0f));  // kept
+  store.SyncFrameAt(9, 1, 0, Tensor::Full({2, 2}, -3.0f));  // untouched
+  EXPECT_EQ(store.CopyGeneration(7, 3, /*min_t=*/2), 4);
+  EXPECT_EQ(store.NumFramesAt(3), 5);
+  EXPECT_FALSE(store.HasFrameAt(3, 1, 1));
+  for (int64_t t = 2; t < 4; ++t) {
+    for (int layer = 1; layer <= 2; ++layer) {
+      EXPECT_FLOAT_EQ(*store.TryGetValueAt(3, layer, t, 1, 1),
+                      static_cast<float>(10 * layer + t));
+    }
+  }
+  EXPECT_FLOAT_EQ(*store.TryGetValueAt(3, 2, 9, 0, 0), -2.0f);
+  EXPECT_FLOAT_EQ(*store.TryGetValueAt(9, 1, 0, 0, 0), -3.0f);
+  EXPECT_EQ(store.NumFramesAt(7), 8);
+  EXPECT_EQ(store.NumFramesAt(9), 1);
+}
+
 TEST(PredictionStoreTest, DeltaStagingAliasesCleanTiles) {
   PredictionStore store;
   Rng rng(11);

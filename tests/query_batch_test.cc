@@ -367,6 +367,82 @@ TEST(ResolvedQueryCacheTest, FingerprintSeparatesMasksAndStrategies) {
   EXPECT_TRUE(fp1 == FingerprintRegion(m1, QueryStrategy::kUnion));
 }
 
+// The fingerprint mixes only nonzero words, each with its word index, so
+// these pin what that sparsity must not lose: edge words, word
+// positions, and the raster extent.
+TEST(ResolvedQueryCacheTest, SparseFingerprintSeesFirstAndLastWord) {
+  // 40x40 = 1600 cells = 25 words; the last cell is bit 63 of word 24.
+  const GridMask base = RandomMask(40, 40, 17, 300);
+  const auto fp = FingerprintRegion(base, QueryStrategy::kUnionSubtraction);
+  for (const auto& [r, c] : {std::make_pair(0, 0), std::make_pair(0, 1),
+                             std::make_pair(39, 39), std::make_pair(39, 38)}) {
+    GridMask flipped = base;
+    flipped.Set(r, c, !flipped.at(r, c));
+    EXPECT_FALSE(fp == FingerprintRegion(flipped,
+                                         QueryStrategy::kUnionSubtraction))
+        << "flip at (" << r << ", " << c << ")";
+  }
+  GridMask first_only(40, 40), last_only(40, 40);
+  first_only.Set(0, 0, true);
+  last_only.Set(39, 39, true);
+  const auto empty_fp =
+      FingerprintRegion(GridMask(40, 40), QueryStrategy::kUnion);
+  EXPECT_FALSE(empty_fp == FingerprintRegion(first_only, QueryStrategy::kUnion));
+  EXPECT_FALSE(empty_fp == FingerprintRegion(last_only, QueryStrategy::kUnion));
+}
+
+TEST(ResolvedQueryCacheTest, SameWordAtDifferentIndicesDiffers) {
+  // 16x16 = 4 words. Put the identical bit pattern into each word in
+  // turn: every position must fingerprint differently.
+  std::vector<RegionFingerprint> fps;
+  for (int word = 0; word < 4; ++word) {
+    GridMask mask(16, 16);
+    for (const int bit : {0, 5, 33, 63}) {
+      const int cell = word * 64 + bit;
+      mask.Set(cell / 16, cell % 16, true);
+    }
+    fps.push_back(FingerprintRegion(mask, QueryStrategy::kUnion));
+  }
+  for (size_t i = 0; i < fps.size(); ++i) {
+    for (size_t j = i + 1; j < fps.size(); ++j) {
+      EXPECT_FALSE(fps[i] == fps[j]) << "words " << i << " and " << j;
+    }
+  }
+}
+
+TEST(ResolvedQueryCacheTest, EqualWordsOverDifferentExtentsDiffer) {
+  // Cell 0 set: word 0 == 1 in all three masks, nothing else nonzero.
+  GridMask a(8, 8), b(4, 16), c(8, 16);
+  a.Set(0, 0, true);
+  b.Set(0, 0, true);
+  c.Set(0, 0, true);
+  ASSERT_EQ(a.words()[0], b.words()[0]);
+  ASSERT_EQ(a.words()[0], c.words()[0]);
+  const auto fa = FingerprintRegion(a, QueryStrategy::kUnion);
+  const auto fb = FingerprintRegion(b, QueryStrategy::kUnion);
+  const auto fc = FingerprintRegion(c, QueryStrategy::kUnion);
+  EXPECT_FALSE(fa == fb);
+  EXPECT_FALSE(fa == fc);
+  EXPECT_FALSE(fb == fc);
+}
+
+TEST(ResolvedQueryCacheTest, IdenticalMasksFingerprintEqually) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const GridMask a = RandomMask(33, 65, seed, 250);
+    // Same cells, built cell by cell rather than copied.
+    GridMask b(33, 65);
+    for (int64_t r = 0; r < 33; ++r) {
+      for (int64_t c = 0; c < 65; ++c) b.Set(r, c, a.at(r, c));
+    }
+    for (QueryStrategy strategy : kAllStrategies) {
+      const auto fa = FingerprintRegion(a, strategy);
+      const auto fb = FingerprintRegion(b, strategy);
+      EXPECT_TRUE(fa == fb);
+      EXPECT_EQ(RegionFingerprintHash()(fa), RegionFingerprintHash()(fb));
+    }
+  }
+}
+
 TEST(ResolvedQueryCacheTest, ConcurrentGetPutIsSafe) {
   ResolvedQueryCacheOptions options;
   options.capacity = 64;

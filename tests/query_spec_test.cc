@@ -128,6 +128,38 @@ TEST(QueryPlannerTest, DedupsIdenticalRegionsIntoOneSlot) {
             std::string::npos);
 }
 
+TEST(QueryPlannerTest, PrecomputedFingerprintsPlanLikeTheMasks) {
+  SpecFixture fx;
+  auto regions = fx.SomeRegions(3);
+  const QuerySpec spec = QuerySpec::MultiRegion(
+      {regions[0], regions[1], regions[0], regions[2], regions[1]},
+      fx.ds.test_indices()[0]);
+  std::vector<RegionFingerprint> fps;
+  for (const GridMask& region : spec.regions) {
+    fps.push_back(FingerprintRegion(region, spec.strategy));
+  }
+  auto from_masks = fx.planner().Plan(spec);
+  auto from_fps = fx.planner().Plan(spec, fps);
+  ASSERT_TRUE(from_masks.ok());
+  ASSERT_TRUE(from_fps.ok());
+  EXPECT_EQ(from_fps->slot_regions, from_masks->slot_regions);
+  ASSERT_EQ(from_fps->rows.size(), from_masks->rows.size());
+  for (size_t i = 0; i < from_fps->rows.size(); ++i) {
+    EXPECT_EQ(from_fps->rows[i].region_slot,
+              from_masks->rows[i].region_slot);
+  }
+  // One fingerprint per distinct slot, the one the resolve cache keys on.
+  ASSERT_EQ(from_masks->slot_fingerprints.size(), 3u);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_TRUE(from_masks->FingerprintForSlot(s) ==
+                FingerprintRegion(from_masks->RegionForSlot(s),
+                                  spec.strategy));
+  }
+  fps.pop_back();
+  EXPECT_EQ(fx.planner().Plan(spec, fps).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(QueryPlannerTest, RangePlanGathersEveryTimestep) {
   SpecFixture fx;
   GridMask region(8, 8);

@@ -651,6 +651,67 @@ TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
   runtime.Stop();
 }
 
+// The memo keys on the spec's knobs and per-region fingerprints: the
+// same regions and knobs hit (rows proven clean or stale per footprint),
+// anything else misses.
+TEST(TopKMemoTest, HitsAndMissesFollowRegionsAndKnobs) {
+  const Hierarchy hierarchy = Hierarchy::Uniform(64, 64, 2, 4);
+  TopKMemo memo(&hierarchy);
+  GridMask a(64, 64), b(64, 64);
+  a.FillRect(2, 2, 8, 8);      // footprint inside layer-1 tile (0, 0)
+  b.FillRect(40, 40, 48, 46);  // footprint inside layer-1 tile (1, 1)
+  const auto fingerprints = [](const QuerySpec& spec) {
+    std::vector<RegionFingerprint> fps;
+    for (const GridMask& region : spec.regions) {
+      fps.push_back(FingerprintRegion(region, spec.strategy));
+    }
+    return fps;
+  };
+  const QuerySpec spec = QuerySpec::TopK({a, b}, 5, 1);
+  std::vector<Result<QueryRow>> rows(2, QueryRow{});
+  rows[0]->value = 1.0;
+  rows[1]->value = 2.0;
+  memo.Store(spec, fingerprints(spec), rows);
+
+  TopKMemo::Probe probe = memo.Lookup(spec, fingerprints(spec));
+  ASSERT_TRUE(probe.hit);
+  EXPECT_EQ(probe.clean, std::vector<bool>({true, true}));
+  EXPECT_EQ(probe.rows[1]->value, 2.0);
+
+  // One publish dirtying layer-1 tile (0, 0): a's row is stale, b's
+  // still provably clean.
+  DirtyTileSets dirty;
+  for (int l = 1; l <= hierarchy.num_layers(); ++l) {
+    dirty.emplace_back(hierarchy.layer(l).height, hierarchy.layer(l).width);
+  }
+  dirty[0].MarkTile(0, 0);
+  memo.OnPublish(6, &dirty);
+  QuerySpec next = spec;
+  next.time = TimeSelector::At(6);
+  probe = memo.Lookup(next, fingerprints(next));
+  ASSERT_TRUE(probe.hit);
+  EXPECT_EQ(probe.clean, std::vector<bool>({false, true}));
+
+  // Misses: a changed region, other knobs, or an unseen publish gap.
+  QuerySpec moved = next;
+  moved.regions[1].Set(47, 47, true);
+  EXPECT_FALSE(memo.Lookup(moved, fingerprints(moved)).hit);
+  QuerySpec other_k = next;
+  other_k.top_k = 2;
+  EXPECT_FALSE(memo.Lookup(other_k, fingerprints(other_k)).hit);
+  QuerySpec other_strategy = next;
+  other_strategy.strategy = QueryStrategy::kUnion;
+  EXPECT_FALSE(memo.Lookup(other_strategy, fingerprints(other_strategy)).hit);
+  QuerySpec swapped = next;
+  std::swap(swapped.regions[0], swapped.regions[1]);
+  EXPECT_FALSE(memo.Lookup(swapped, fingerprints(swapped)).hit);
+  QuerySpec gap = next;
+  gap.time = TimeSelector::At(8);  // publish 7 was never recorded
+  EXPECT_FALSE(memo.Lookup(gap, fingerprints(gap)).hit);
+  // The original still hits after all those probes.
+  EXPECT_TRUE(memo.Lookup(next, fingerprints(next)).hit);
+}
+
 // The copy-on-write hammer (raced under TSan in CI): a writer publishes
 // carry-forward epochs in a loop, delta-staging each timestep so clean
 // tiles alias the previous generation's blocks; readers pin epochs and

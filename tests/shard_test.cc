@@ -18,6 +18,7 @@
 #include "serve/serving_runtime.h"
 #include "shard/shard_executor.h"
 #include "shard/shard_map.h"
+#include "shard/shard_router.h"
 #include "shard/shard_set.h"
 #include "test_util.h"
 
@@ -126,6 +127,20 @@ TEST(ShardMapTest, SplitRegionCellsAccountsEveryCell) {
   for (const int64_t cells : split) total += cells;
   EXPECT_EQ(total, region.Count());
   for (int k = 0; k < 4; ++k) EXPECT_GT(split[k], 0) << "shard " << k;
+}
+
+TEST(ShardRouterTest, HomeShardIsTheFirstSetRowsOwner) {
+  // 20 x 37 = 740 cells: rows straddle the 64-cell mask words.
+  Hierarchy hierarchy = Hierarchy::Uniform(20, 37, 2, 4);
+  ShardMap map = ShardMap::Create(&hierarchy, 3);
+  ShardRouter router(&map);
+  for (int64_t first = 0; first < 20 * 37; first += 23) {
+    GridMask region(20, 37);
+    region.Set(first / 37, first % 37, true);
+    region.Set(19, 36, true);  // a later cell never moves the home
+    EXPECT_EQ(router.HomeShard(region), map.OwnerOfAtomicRow(first / 37))
+        << "first set cell " << first;
+  }
 }
 
 // ---------------------------------------------------------------------------
