@@ -5,6 +5,8 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 
 namespace one4all {
 namespace bench {
@@ -28,10 +30,14 @@ void RunDataset(DatasetKind kind, const BenchConfig& config) {
     std::vector<double> times;
     double pieces = 0.0, terms = 0.0;
     const int64_t t = dataset.test_indices()[0];
+    const QueryPlanner planner(&dataset.hierarchy());
+    const QueryExecutor executor(&pipeline->server());
     for (const GridMask& region : regions) {
-      auto response =
-          pipeline->server().Predict(region, t,
-                                     QueryStrategy::kUnionSubtraction);
+      // One uncached point spec per region, so every row pays the full
+      // decompose + index retrieval the figure reports.
+      auto plan = planner.Plan(QuerySpec::PointInTime(region, t));
+      O4A_CHECK(plan.ok());
+      const Result<QueryRow> response = executor.Execute(*plan).rows[0];
       O4A_CHECK(response.ok());
       times.push_back(response->response_micros / 1000.0);
       pieces += response->num_pieces;

@@ -222,7 +222,8 @@ int main_impl() {
     ResolvedQueryCache cache;
     for (const GridMask& region : regions) {
       auto resolved = server.ResolveCached(
-          region, exact_spec.strategy, &cache);
+          region, exact_spec.strategy,
+          FingerprintRegion(region, exact_spec.strategy), &cache);
       O4A_CHECK(resolved.ok());
       result.exact_terms +=
           static_cast<int64_t>((**resolved).terms.size());

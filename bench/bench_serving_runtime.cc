@@ -1,10 +1,12 @@
 // Sustained throughput of the online serving runtime *while epochs
-// roll*: a static-store BatchPredict baseline (the PR-1 engine over a
-// fully pre-synced generation) against the ServingRuntime answering the
-// same kind of query storm concurrently with the stream ingestor
-// publishing one epoch per timestep. Acceptance (ISSUE 3): serving
-// throughput within 2x of the static baseline while an epoch is
-// published at least every 50 ms, with zero consistency violations.
+// roll*: a static-store baseline (multi-region specs, one per time slot,
+// run by the QueryExecutor over a fully pre-synced generation) against
+// the ServingRuntime answering the same kind of query storm concurrently
+// with the stream ingestor publishing one epoch per timestep. Storm
+// clients draw random (region, t) queries and group each time slot's
+// regions into one multi-region spec. Acceptance: serving throughput
+// within 2x of the static baseline while an epoch is published at least
+// every 50 ms, with zero consistency violations.
 //
 // The storm phase runs twice — once with the trace recorder disabled
 // and once with always-on recording (default head sampling) — to
@@ -41,6 +43,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -51,6 +54,8 @@
 #include "core/thread_pool.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "serve/serving_runtime.h"
 
@@ -126,7 +131,6 @@ StormOutcome RunStorm(const STDataset& dataset,
                       int query_threads = 1) {
   const auto& slots = dataset.test_indices();
   ServingRuntimeOptions options;
-  options.strategy = strategy;
   // Unsharded storms drive concurrency from the clients alone; sharded
   // phase-4 rows pass 0 so each batch's scatter fans out on the shared
   // pool instead of serializing N sub-queries in the client thread.
@@ -156,8 +160,9 @@ StormOutcome RunStorm(const STDataset& dataset,
       while (!runtime.ingestor().done()) {
         const int64_t latest = runtime.published_latest_t();
         const int64_t span = latest - slots.front() + 1;
-        std::vector<BatchQuery> batch;
-        batch.reserve(256);
+        // 256 random (region, t) draws, grouped by time slot: each
+        // slot's regions (in draw order) become one multi-region spec.
+        std::map<int64_t, std::vector<size_t>> picks_by_t;
         for (int i = 0; i < 256; ++i) {
           const size_t region =
               static_cast<size_t>(rng.UniformInt(regions.size()));
@@ -165,25 +170,30 @@ StormOutcome RunStorm(const STDataset& dataset,
               slots.front() +
               static_cast<int64_t>(
                   rng.UniformInt(static_cast<uint64_t>(span)));
-          batch.push_back(BatchQuery{regions[region], t});
-        }
-        auto results = runtime.QueryBatch(batch);
-        if (!results.ok()) {
-          rejected.fetch_add(static_cast<int64_t>(batch.size()));
-          continue;
+          picks_by_t[t].push_back(region);
         }
         int64_t ok_count = 0;
-        for (size_t i = 0; i < results->size(); ++i) {
-          const auto& response = (*results)[i];
-          O4A_CHECK(response.ok()) << response.status().ToString();
-          ++ok_count;
-          // Ground-truth inference + exact-cover combinations:
-          // every answer must reproduce the region's true flow.
-          const double truth =
-              RegionTruth(dataset, batch[i].region, batch[i].t);
-          if (std::abs(response.ValueOrDie().value - truth) >
-              1e-3 * (1.0 + std::abs(truth))) {
-            inconsistent.fetch_add(1);
+        for (const auto& [t, picks] : picks_by_t) {
+          std::vector<GridMask> group;
+          group.reserve(picks.size());
+          for (const size_t region : picks) group.push_back(regions[region]);
+          auto result = runtime.ExecuteSpec(
+              QuerySpec::MultiRegion(std::move(group), t, strategy));
+          if (!result.ok()) {
+            rejected.fetch_add(static_cast<int64_t>(picks.size()));
+            continue;
+          }
+          for (size_t i = 0; i < picks.size(); ++i) {
+            const Result<QueryRow>& row = result->rows[i];
+            O4A_CHECK(row.ok()) << row.status().ToString();
+            ++ok_count;
+            // Ground-truth inference + exact-cover combinations:
+            // every answer must reproduce the region's true flow.
+            const double truth = RegionTruth(dataset, regions[picks[i]], t);
+            if (std::abs(row->value - truth) >
+                1e-3 * (1.0 + std::abs(truth))) {
+              inconsistent.fetch_add(1);
+            }
           }
         }
         answered.fetch_add(ok_count);
@@ -496,33 +506,51 @@ int main_impl() {
   const QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
   ServingResult result;
 
-  // -- Phase 1: static-store baseline (PR-1 engine, frames pre-synced) --
+  // -- Phase 1: static-store baseline (frames pre-synced) -------------
+  // The stream cycles the region set over the test slots; each slot's
+  // run of regions is one multi-region spec.
   {
-    std::vector<BatchQuery> stream;
-    stream.reserve(static_cast<size_t>(num_queries));
+    std::vector<QuerySpec> slot_specs;
+    std::vector<GridMask> group;
+    int64_t queued = 0;
     size_t r = 0, s = 0;
-    while (static_cast<int64_t>(stream.size()) < num_queries) {
-      stream.push_back(BatchQuery{regions[r], slots[s]});
-      if (++r == regions.size()) {
+    while (queued < num_queries) {
+      group.push_back(regions[r]);
+      ++queued;
+      const bool slot_done = ++r == regions.size();
+      if (slot_done || queued == num_queries) {
+        slot_specs.push_back(
+            QuerySpec::MultiRegion(std::move(group), slots[s], strategy));
+        group = {};
+      }
+      if (slot_done) {
         r = 0;
         s = (s + 1) % slots.size();
       }
     }
+    const QueryPlanner planner(&dataset.hierarchy());
+    const QueryExecutor executor(&pipeline->server());
     ResolvedQueryCache cache;
     ThreadPool pool(ThreadPool::HardwareThreads());
-    BatchOptions options;
+    QueryExecutorOptions options;
     options.pool = &pool;
     options.cache = &cache;
     Stopwatch timer;
-    const auto results =
-        pipeline->server().BatchPredict(stream, strategy, options);
-    const double seconds = timer.ElapsedSeconds();
-    for (const auto& response : results) {
-      O4A_CHECK(response.ok()) << response.status().ToString();
+    std::vector<QueryResult> results;
+    results.reserve(slot_specs.size());
+    for (const QuerySpec& spec : slot_specs) {
+      auto plan = planner.Plan(spec);
+      O4A_CHECK(plan.ok()) << plan.status().ToString();
+      results.push_back(executor.Execute(*plan, options));
     }
-    result.baseline_qps =
-        static_cast<double>(stream.size()) / seconds;
-    std::cout << "static baseline: " << stream.size() << " queries in "
+    const double seconds = timer.ElapsedSeconds();
+    for (const QueryResult& answer : results) {
+      for (const Result<QueryRow>& row : answer.rows) {
+        O4A_CHECK(row.ok()) << row.status().ToString();
+      }
+    }
+    result.baseline_qps = static_cast<double>(queued) / seconds;
+    std::cout << "static baseline: " << queued << " queries in "
               << TablePrinter::Num(seconds, 3) << " s ("
               << TablePrinter::Num(result.baseline_qps, 0) << " q/s)\n";
   }
@@ -570,7 +598,7 @@ int main_impl() {
   TablePrinter table("Serving throughput while epochs roll (" +
                      std::to_string(clients) + " storm clients)");
   table.SetHeader({"Mode", "queries/s", "vs static"});
-  table.AddRow({"static BatchPredict baseline",
+  table.AddRow({"static multi-region baseline",
                 TablePrinter::Num(result.baseline_qps, 0), "1.00"});
   table.AddRow({"ServingRuntime, obs disabled",
                 TablePrinter::Num(result.serving_qps_no_obs, 0),

@@ -18,6 +18,8 @@
 #include "model/baselines_cnn.h"
 #include "model/one4all_net.h"
 #include "model/trainer.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 
 using namespace one4all;
 
@@ -88,8 +90,11 @@ int main() {
         // Answer 2: the coarse model, directly.
         const double coarse_answer = coarse_pred.at(0, 0, r, c);
         // Answer 3: One4All-ST's canonical answer.
-        auto unified_answer = pipeline->server().Predict(
-            mask, t, QueryStrategy::kUnionSubtraction);
+        auto plan = QueryPlanner(&dataset->hierarchy())
+                        .Plan(QuerySpec::PointInTime(mask, t));
+        O4A_CHECK(plan.ok());
+        const Result<QueryRow> unified_answer =
+            QueryExecutor(&pipeline->server()).Execute(*plan).rows[0];
         O4A_CHECK(unified_answer.ok());
 
         const double gap = std::fabs(fine_answer - coarse_answer);

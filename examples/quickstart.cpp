@@ -8,6 +8,8 @@
 #include "eval/task_eval.h"
 #include "model/one4all_net.h"
 #include "model/trainer.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 
 using namespace one4all;
 
@@ -58,8 +60,14 @@ int main() {
   district.FillRect(2, 2, 10, 10);
   district.ClearRect(2, 2, 6, 6);  // carve out the corner -> L shape
   const int64_t when = dataset->test_indices()[0];
-  auto response = pipeline->server().Predict(
-      district, when, QueryStrategy::kUnionSubtraction);
+  auto plan = QueryPlanner(&dataset->hierarchy())
+                  .Plan(QuerySpec::PointInTime(district, when));
+  if (!plan.ok()) {
+    std::cerr << plan.status().ToString() << "\n";
+    return 1;
+  }
+  const Result<QueryRow> response =
+      QueryExecutor(&pipeline->server()).Execute(*plan).rows[0];
   if (!response.ok()) {
     std::cerr << response.status().ToString() << "\n";
     return 1;

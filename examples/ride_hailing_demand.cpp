@@ -12,6 +12,8 @@
 #include "eval/task_eval.h"
 #include "model/one4all_net.h"
 #include "model/trainer.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 
 using namespace one4all;
 
@@ -67,13 +69,20 @@ int main() {
     region_options.seed = 2024;
     const auto zones = GenerateRegions(32, 32, region_options);
 
+    // The whole zoning is one multi-region spec: every zone answered at
+    // the next hour, one row per zone.
+    auto plan = QueryPlanner(&dataset->hierarchy())
+                    .Plan(QuerySpec::MultiRegion(zones, next_hour));
+    O4A_CHECK(plan.ok()) << plan.status().ToString();
+    const QueryResult answer =
+        QueryExecutor(&pipeline->server()).Execute(*plan);
+
     MetricAccumulator acc;
     double worst_latency_ms = 0.0;
     double hottest = -1.0;
     size_t hottest_zone = 0;
     for (size_t i = 0; i < zones.size(); ++i) {
-      auto response = pipeline->server().Predict(
-          zones[i], next_hour, QueryStrategy::kUnionSubtraction);
+      const Result<QueryRow>& response = answer.rows[i];
       O4A_CHECK(response.ok());
       acc.Add(response->value, RegionTruth(*dataset, zones[i], next_hour));
       worst_latency_ms =

@@ -210,20 +210,6 @@ Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
   return Status::OK();
 }
 
-Result<SatPlane> PredictionStore::GetSatPlaneAt(int64_t generation,
-                                                int layer, int64_t t) const {
-  Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.plane == nullptr) {
-    return Status::NotFound("no summed-area plane for key");
-  }
-  // Rebuilt from the materialized frame rather than the tiled plane, so
-  // the result is bit-identical to BuildSatPlane of the synced frame —
-  // the legacy surface older tests and tools pin. O(cells); hot readers
-  // use GetTiledSatPlaneAt.
-  return BuildSatPlane(entry.frame->Materialize());
-}
-
 bool PredictionStore::HasSatPlaneAt(int64_t generation, int layer,
                                     int64_t t) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -289,30 +275,36 @@ int64_t PredictionStore::CopyGeneration(int64_t from, int64_t to,
 }
 
 int64_t PredictionStore::DropGeneration(int64_t generation) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto begin = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-  auto end = begin;
+  // Only unlink under the exclusive lock: destroying an entry drops tile
+  // refcounts and may free whole tile blocks, which readers need not
+  // wait for. `unlinked` is destroyed after the lock is released.
+  std::vector<EntryMap::node_type> unlinked;
   int64_t dropped = 0;
-  while (end != entries_.end() && std::get<0>(end->first) == generation) {
-    dropped += 1 + (end->second.plane != nullptr ? 1 : 0);
-    ++end;
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
+  while (it != entries_.end() && std::get<0>(it->first) == generation) {
+    dropped += 1 + (it->second.plane != nullptr ? 1 : 0);
+    unlinked.push_back(entries_.extract(it++));
   }
-  entries_.erase(begin, end);
+  lock.unlock();
   return dropped;
 }
 
 int64_t PredictionStore::DropFramesBelow(int64_t generation, int64_t min_t) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  // Unlinked under the lock, destroyed after it (see DropGeneration).
+  std::vector<EntryMap::node_type> unlinked;
   int64_t dropped = 0;
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
   while (it != entries_.end() && std::get<0>(it->first) == generation) {
     if (std::get<2>(it->first) < min_t) {
       dropped += 1 + (it->second.plane != nullptr ? 1 : 0);
-      it = entries_.erase(it);
+      unlinked.push_back(entries_.extract(it++));
     } else {
       ++it;
     }
   }
+  lock.unlock();
   return dropped;
 }
 

@@ -19,9 +19,10 @@
 //     TryBuildSatPlaneDeltaAt) copies only the tiles a dirty set marks,
 //     aliasing every clean tile from the base timestep's entry — staging
 //     a 5%-churn epoch copies ~5% of the data;
-//   - reclamation (DropGeneration) is a map erase: a tile block is freed
-//     when the last generation referencing it drops, which keeps a
-//     pinned epoch's data alive precisely as long as its pins.
+//   - reclamation (DropGeneration) unlinks a generation's map nodes under
+//     the lock and frees them after it: a tile block is freed when the
+//     last generation referencing it drops, which keeps a pinned epoch's
+//     data alive precisely as long as its pins.
 // Planes live *inside* the generation entry on purpose: carry-forward
 // and reclamation treat a plane exactly like its frame.
 #ifndef ONE4ALL_KVSTORE_PREDICTION_STORE_H_
@@ -36,7 +37,6 @@
 #include <tuple>
 
 #include "core/status.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tensor.h"
 #include "tensor/tiled_sat.h"
 
@@ -151,14 +151,6 @@ class PredictionStore {
                                  int64_t base_t, ThreadPool* pool = nullptr,
                                  StageStats* stats = nullptr);
 
-  /// \brief Materialized monolithic plane, bit-identical to
-  /// BuildSatPlane of the stored frame (legacy readers and parity
-  /// tests; the query fast path reads GetTiledSatPlaneAt instead).
-  /// NotFound when the frame was synced without a plane — the query
-  /// layer then falls back to summing the frame directly.
-  Result<SatPlane> GetSatPlaneAt(int64_t generation, int layer,
-                                 int64_t t) const;
-
   bool HasSatPlaneAt(int64_t generation, int layer, int64_t t) const;
 
   /// \brief Builds and stores the summed-area plane of every frame in a
@@ -177,12 +169,14 @@ class PredictionStore {
 
   /// \brief Deletes every frame of a generation (epoch reclamation once
   /// the last reader unpins it); tile blocks free when their last
-  /// referencing generation drops. Returns frames plus planes dropped.
+  /// referencing generation drops. Entries are unlinked under the
+  /// exclusive lock and destroyed after it is released, so readers never
+  /// wait on tile frees. Returns frames plus planes dropped.
   int64_t DropGeneration(int64_t generation);
 
   /// \brief Deletes a generation's frames with t < `min_t` (retention
-  /// trim of a still-unpublished shadow generation). Returns frames
-  /// plus planes dropped.
+  /// trim of a still-unpublished shadow generation), freeing them after
+  /// the lock like DropGeneration. Returns frames plus planes dropped.
   int64_t DropFramesBelow(int64_t generation, int64_t min_t);
 
   /// \brief Number of frames stored under a generation (summed-area
@@ -213,6 +207,7 @@ class PredictionStore {
     std::shared_ptr<const TileDirtySet> dirty;
   };
   using Key = std::tuple<int64_t, int, int64_t>;  // (generation, layer, t)
+  using EntryMap = std::map<Key, Entry>;
 
   /// \brief The injected fault Status, or OK when writes are healthy.
   Status WriteFault() const;
@@ -234,7 +229,7 @@ class PredictionStore {
   }
 
   mutable std::shared_mutex mu_;
-  std::map<Key, Entry> entries_;
+  EntryMap entries_;
 
   // Write-fault seam: flag checked on the hot path (one relaxed load),
   // Status only locked when a fault is actually set or read.

@@ -1,8 +1,8 @@
-// Internal execution helpers shared by the legacy batch surface and the
-// QueryExecutor: the per-worker prediction-frame memo and the sharded
-// parallel-for policy. Kept in one place so the composable query path
-// evaluates terms with byte-identical arithmetic to the original
-// BatchPredict (same frame reads, same accumulation order).
+// Internal execution helpers shared by the QueryExecutor and the
+// ShardExecutor: the per-worker prediction-frame memo and the sharded
+// parallel-for policy. Kept in one place so both executors read frames
+// the same way and the exact cell loop sums terms in one accumulation
+// order (RegionQueryServer::EvaluateTerms's).
 #ifndef ONE4ALL_QUERY_FRAME_MEMO_H_
 #define ONE4ALL_QUERY_FRAME_MEMO_H_
 
@@ -41,15 +41,9 @@ class FrameMemo {
     double acc = 0.0;
     for (const CombinationTerm& term : terms) {
       const Key key{term.grid.layer, t};
-      auto it = std::lower_bound(frames_.begin(), frames_.end(), key,
-                                 [](const Entry& e, const Key& k) {
-                                   return e.first < k;
-                                 });
+      auto it = LowerBound(key);
       if (it == frames_.end() || it->first != key) {
-        Result<std::shared_ptr<const TiledFrame>> frame =
-            store_->GetTiledFrameAt(generation_, term.grid.layer, t);
-        O4A_RETURN_NOT_OK(frame.status());
-        it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
+        O4A_RETURN_NOT_OK(Fetch(key, &it));
       }
       acc += static_cast<double>(term.sign) *
              static_cast<double>(it->second->at(term.grid.row, term.grid.col));
@@ -58,9 +52,37 @@ class FrameMemo {
     return Status::OK();
   }
 
+  /// \brief The (layer, t) frame, fetched on first use, for callers that
+  /// read individual cells instead of folding terms (the sharded scatter
+  /// stage). Valid for the memo's lifetime.
+  Result<const TiledFrame*> Get(int layer, int64_t t) {
+    const Key key{layer, t};
+    auto it = LowerBound(key);
+    if (it == frames_.end() || it->first != key) {
+      O4A_RETURN_NOT_OK(Fetch(key, &it));
+    }
+    return it->second.get();
+  }
+
  private:
   using Key = std::pair<int, int64_t>;
   using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
+
+  std::vector<Entry>::iterator LowerBound(const Key& key) {
+    return std::lower_bound(
+        frames_.begin(), frames_.end(), key,
+        [](const Entry& e, const Key& k) { return e.first < k; });
+  }
+
+  /// \brief Miss path: reads `key` from the store and inserts it at
+  /// `*it` (its lower bound), leaving `*it` on the new entry.
+  Status Fetch(const Key& key, std::vector<Entry>::iterator* it) {
+    Result<std::shared_ptr<const TiledFrame>> frame =
+        store_->GetTiledFrameAt(generation_, key.first, key.second);
+    O4A_RETURN_NOT_OK(frame.status());
+    *it = frames_.insert(*it, Entry{key, frame.MoveValueUnsafe()});
+    return Status::OK();
+  }
 
   const PredictionStore* store_;
   int64_t generation_;
@@ -68,8 +90,9 @@ class FrameMemo {
 };
 
 /// \brief Runs `body(begin, end)` over [0, n) with the requested
-/// parallelism; `pool` wins over `num_threads` (BatchOptions semantics:
-/// 0 = ambient/shared pool, 1 = caller's thread, > 1 = per-call pool).
+/// parallelism; `pool` wins over `num_threads` (QueryExecutorOptions
+/// semantics: 0 = ambient/shared pool, 1 = caller's thread, > 1 =
+/// per-call pool).
 inline void RunSharded(ThreadPool* pool, int num_threads, int64_t n,
                        const std::function<void(int64_t, int64_t)>& body) {
   if (pool != nullptr) {

@@ -2,7 +2,7 @@
 // resolution produces (one signed frame cell per term) folded into
 //   - SAT rect reads: maximal axis-aligned rectangles of same-sign terms
 //     within one layer, each answered by a four-corner read of that
-//     layer's summed-area plane (tensor/prefix_sum.h) — O(#rects)
+//     layer's summed-area plane (tensor/tiled_sat.h) — O(#rects)
 //     however many cells the rectangles cover, and
 //   - residue reads: the irregular leftovers, precompiled to (tile,
 //     in-tile offset) coordinates of the layer's tiled frame

@@ -7,7 +7,6 @@
 #include "core/stopwatch.h"
 #include "query/frame_memo.h"
 #include "query/resolved_query_cache.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
@@ -190,10 +189,8 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
-                options.cache == nullptr
-                    ? RegionFingerprint{}
-                    : plan.FingerprintForSlot(static_cast<int>(s)),
-                options.cache, &slot.cache_hit);
+                plan.FingerprintForSlot(static_cast<int>(s)), options.cache,
+                &slot.cache_hit);
             // Captured before evaluation so a hit reports only the
             // resolve-path latency, comparable to decompose+index.
             slot.probe_micros = probe.ElapsedMicros();

@@ -21,7 +21,7 @@
 
 namespace one4all {
 
-/// \brief Execution knobs, mirroring BatchOptions.
+/// \brief Execution knobs of one plan execution.
 struct QueryExecutorOptions {
   /// Worker threads when `pool` is null: 1 runs on the calling thread,
   /// 0 fans out over the process-wide ThreadPool::Shared(), > 1 spins up
@@ -42,7 +42,7 @@ struct QueryExecutorOptions {
 };
 
 /// \brief One result row: the (aggregated) predicted value of one region
-/// of the spec, plus the same per-query accounting QueryResponse carries.
+/// of the spec, plus its resolve and gather accounting.
 struct QueryRow {
   double value = 0.0;
   /// Per-timestep values in ascending t, kept when the spec asked for
@@ -71,8 +71,8 @@ struct QueryStageTimings {
 /// \brief Structured answer to one executed plan.
 struct QueryResult {
   QuerySpecKind kind = QuerySpecKind::kPointInTime;
-  /// rows[i] answers spec.regions[i] (or legacy batch entry i);
-  /// failures do not abort sibling rows.
+  /// rows[i] answers spec.regions[i]; failures do not abort sibling
+  /// rows.
   std::vector<Result<QueryRow>> rows;
   /// kTopK only: indices into `rows` of the k best OK rows, value
   /// descending (ties broken toward the lower index).

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "query/query_server.h"
 #include "query/query_spec.h"
 #include "query/resolved_query_cache.h"
 
@@ -29,44 +28,29 @@ struct PlanRow {
 };
 
 /// \brief Executable form of a QuerySpec. rows[i] produces result row i
-/// (one per spec region, or one per legacy batch entry).
+/// (one per spec region).
 struct QueryPlan {
   QuerySpec spec;
-  /// Term-evaluation path the executor runs. Spec shapes inherit
-  /// spec.eval_path; the legacy batch adapter always pins the exact
-  /// cell loop (BatchPredict's bit-exact arithmetic is contract).
+  /// Term-evaluation path the executor runs (the spec's eval_path).
   EvalPath path = EvalPath::kExactCellLoop;
-  /// Distinct regions to resolve, as indices into spec.regions. Spec
-  /// shapes dedup identical masks so a grouped query probes the resolve
-  /// cache once per distinct region; the legacy batch adapter keeps one
-  /// slot per row to preserve the original per-query cache semantics.
+  /// Distinct regions to resolve, as indices into spec.regions. Identical
+  /// masks dedup into one slot, so a grouped query probes the resolve
+  /// cache once per distinct region.
   std::vector<int> slot_regions;
-  /// kPointBatch only: borrowed views of the caller's query regions, one
-  /// per slot — the BatchQuery vector must outlive plan execution (the
-  /// shim guarantees this; no mask is copied on the hot batch path).
-  /// Empty for spec shapes, which own their regions in spec.regions.
-  std::vector<const GridMask*> borrowed_regions;
-  /// Spec shapes only: FingerprintRegion of each slot's region, aligned
-  /// with slot_regions — computed once per region per spec and handed to
-  /// the resolve cache, so no stage rehashes a mask. Empty for the legacy
-  /// batch adapter (FingerprintForSlot computes on demand).
+  /// FingerprintRegion of each slot's region, aligned with slot_regions —
+  /// computed once per region per spec and handed to the resolve cache,
+  /// so no stage rehashes a mask.
   std::vector<RegionFingerprint> slot_fingerprints;
   std::vector<PlanRow> rows;
   double plan_micros = 0.0;  ///< time spent compiling this plan
 
   const GridMask& RegionForSlot(int slot) const {
-    if (!borrowed_regions.empty()) {
-      return *borrowed_regions[static_cast<size_t>(slot)];
-    }
     return spec.regions[static_cast<size_t>(
         slot_regions[static_cast<size_t>(slot)])];
   }
 
-  RegionFingerprint FingerprintForSlot(int slot) const {
-    if (!slot_fingerprints.empty()) {
-      return slot_fingerprints[static_cast<size_t>(slot)];
-    }
-    return FingerprintRegion(RegionForSlot(slot), spec.strategy);
+  const RegionFingerprint& FingerprintForSlot(int slot) const {
+    return slot_fingerprints[static_cast<size_t>(slot)];
   }
 
   /// \brief Admission-control cost: total (region, t) gather points.
@@ -87,7 +71,7 @@ class QueryPlanner {
   /// \param hierarchy Must outlive the planner.
   explicit QueryPlanner(const Hierarchy* hierarchy);
 
-  /// \brief Compiles one of the four client-facing spec shapes.
+  /// \brief Compiles a spec of any shape.
   Result<QueryPlan> Plan(QuerySpec spec) const;
 
   /// \brief Plan() with each region's FingerprintRegion(region,
@@ -97,12 +81,6 @@ class QueryPlanner {
   Result<QueryPlan> Plan(
       QuerySpec spec,
       const std::vector<RegionFingerprint>& region_fingerprints) const;
-
-  /// \brief Legacy adapter: arbitrary (region, t) pairs, one row and one
-  /// resolve-cache probe per pair (no dedup — BatchPredict's observable
-  /// cache behavior is part of its contract).
-  Result<QueryPlan> PlanBatch(const std::vector<BatchQuery>& queries,
-                              QueryStrategy strategy) const;
 
  private:
   const Hierarchy* hierarchy_;

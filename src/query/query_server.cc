@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "core/stopwatch.h"
-#include "query/frame_memo.h"
-#include "query/query_executor.h"
-#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 
 namespace one4all {
@@ -102,53 +99,6 @@ Result<double> RegionQueryServer::TryEvaluateTerms(
   return value;
 }
 
-namespace {
-
-/// \brief Adapts one executor row to the legacy per-query response shape.
-Result<QueryResponse> RowToResponse(Result<QueryRow>&& row) {
-  if (!row.ok()) return row.status();
-  QueryRow& r = *row;
-  QueryResponse response;
-  response.value = r.value;
-  response.num_pieces = r.num_pieces;
-  response.num_terms = r.num_terms;
-  response.decompose_micros = r.decompose_micros;
-  response.index_micros = r.index_micros;
-  response.eval_micros = r.eval_micros;
-  response.response_micros = r.response_micros;
-  response.from_cache = r.from_cache;
-  return response;
-}
-
-}  // namespace
-
-Result<QueryResponse> RegionQueryServer::Predict(
-    const GridMask& region, int64_t t, QueryStrategy strategy,
-    int64_t generation) const {
-  // Thin shim over the composable path: point-in-time spec -> plan ->
-  // executor, on the calling thread, no cache.
-  QueryPlanner planner(hierarchy_);
-  O4A_ASSIGN_OR_RETURN(
-      QueryPlan plan,
-      planner.Plan(QuerySpec::PointInTime(region, t, strategy)));
-  QueryExecutorOptions options;
-  options.generation = generation;
-  QueryResult executed = QueryExecutor(this).Execute(plan, options);
-  return RowToResponse(std::move(executed.rows[0]));
-}
-
-Result<std::shared_ptr<const ResolvedQuery>>
-RegionQueryServer::ResolveCached(const GridMask& region,
-                                 QueryStrategy strategy,
-                                 ResolvedQueryCache* cache,
-                                 bool* cache_hit) const {
-  // Without a cache there is nothing to key, so skip the hash.
-  return ResolveCached(region, strategy,
-                       cache == nullptr ? RegionFingerprint{}
-                                        : FingerprintRegion(region, strategy),
-                       cache, cache_hit);
-}
-
 Result<std::shared_ptr<const ResolvedQuery>>
 RegionQueryServer::ResolveCached(const GridMask& region,
                                  QueryStrategy strategy,
@@ -168,51 +118,6 @@ RegionQueryServer::ResolveCached(const GridMask& region,
   auto entry = std::make_shared<const ResolvedQuery>(std::move(resolved));
   cache->Put(fp, entry);
   return entry;
-}
-
-std::vector<Result<ResolvedQuery>> RegionQueryServer::BatchResolve(
-    const std::vector<GridMask>& regions, QueryStrategy strategy,
-    const BatchOptions& options) const {
-  std::vector<Result<ResolvedQuery>> results(
-      regions.size(), Status::Internal("batch entry not evaluated"));
-  query_internal::RunSharded(
-      options.pool, options.num_threads,
-      static_cast<int64_t>(regions.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          auto resolved = ResolveCached(regions[static_cast<size_t>(i)],
-                                        strategy, options.cache);
-          if (resolved.ok()) {
-            results[static_cast<size_t>(i)] = **resolved;
-          } else {
-            results[static_cast<size_t>(i)] = resolved.status();
-          }
-        }
-      });
-  return results;
-}
-
-std::vector<Result<QueryResponse>> RegionQueryServer::BatchPredict(
-    const std::vector<BatchQuery>& queries, QueryStrategy strategy,
-    const BatchOptions& options) const {
-  // Thin shim over the composable path: the legacy batch adapter keeps
-  // one row and one cache probe per (region, t) pair, so the observable
-  // cache statistics and per-query failure semantics are unchanged.
-  QueryPlanner planner(hierarchy_);
-  auto plan = planner.PlanBatch(queries, strategy);
-  O4A_CHECK(plan.ok()) << plan.status().ToString();
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = options.num_threads;
-  exec_options.pool = options.pool;
-  exec_options.cache = options.cache;
-  exec_options.generation = options.generation;
-  QueryResult executed = QueryExecutor(this).Execute(*plan, exec_options);
-  std::vector<Result<QueryResponse>> results;
-  results.reserve(executed.rows.size());
-  for (auto& row : executed.rows) {
-    results.push_back(RowToResponse(std::move(row)));
-  }
-  return results;
 }
 
 }  // namespace one4all

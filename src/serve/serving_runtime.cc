@@ -118,62 +118,19 @@ void ServingRuntime::ReleaseQueries(int64_t cost) {
   inflight_.fetch_sub(cost, std::memory_order_acq_rel);
 }
 
-Result<std::vector<Result<QueryResponse>>> ServingRuntime::QueryBatch(
-    const std::vector<BatchQuery>& queries) {
-  const int64_t n = static_cast<int64_t>(queries.size());
-  TraceContext trace_ctx = trace_->StartTrace(SpanCategory::kQuery);
-  ScopedSpan query_span(&trace_ctx, SpanName::kQuery, n);
-  Status admitted;
-  {
-    ScopedSpan admission_span(&trace_ctx, SpanName::kAdmission, n);
-    admitted = AdmitQueries(n, n);
+void ServingRuntime::RecordRowOutcomes(
+    const std::vector<Result<QueryRow>>& rows) {
+  int64_t served = 0, failed = 0;
+  for (const Result<QueryRow>& row : rows) {
+    if (row.ok()) {
+      ++served;
+      telemetry_.query_latency.Record(row->response_micros);
+    } else {
+      ++failed;
+    }
   }
-  O4A_RETURN_NOT_OK(admitted);
-  telemetry_.CountSpec(QuerySpecKind::kPointBatch);
-
-  std::vector<Result<QueryResponse>> results;
-  if (shards_ != nullptr) {
-    // Cross-shard pin through the barrier: the pin set holds one epoch
-    // per shard, all serving the same timestep, for the whole batch.
-    ShardPinSet pins = shards_->PinAll(&trace_ctx);
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
-                        pins.generation(0));
-    pin_span.Close();
-    ShardExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.trace = &trace_ctx;
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    ScopedSpan gather_span(&trace_ctx, SpanName::kGather, n);
-    results = ShardExecutor(server_.get(), shards_.get())
-                  .ExecuteBatch(queries, options_.strategy, pins,
-                                exec_options);
-  } else {
-    // Pin one epoch for the whole batch: every frame read below goes
-    // through its generation, so the batch can never mix a half-
-    // published timestep into its answers.
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
-    EpochGuard epoch = epochs_.Pin();
-    pin_span.set_arg(epoch.generation());
-    pin_span.Close();
-    BatchOptions batch_options;
-    batch_options.num_threads = options_.num_query_threads;
-    batch_options.cache = &cache_;
-    batch_options.generation = epoch.generation();
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    ScopedSpan gather_span(&trace_ctx, SpanName::kGather, n);
-    results = server_->BatchPredict(queries, options_.strategy,
-                                    batch_options);
-  }
-  ReleaseQueries(n);
-  RecordRowOutcomes(results);
-  return results;
-}
-
-Result<QueryResponse> ServingRuntime::Query(const GridMask& region,
-                                            int64_t t) {
-  O4A_ASSIGN_OR_RETURN(std::vector<Result<QueryResponse>> results,
-                       QueryBatch({BatchQuery{region, t}}));
-  return results[0];
+  telemetry_.queries_served.fetch_add(served, std::memory_order_relaxed);
+  telemetry_.queries_failed.fetch_add(failed, std::memory_order_relaxed);
 }
 
 Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
@@ -300,8 +257,8 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
 
   QueryResult result;
   if (shards_ != nullptr) {
-    // Same consistency contract, barrier edition: the pin set's shards
-    // all serve one timestep, so a time-range answer can never mix two
+    // The barrier edition of the epoch pin: the pin set's shards all
+    // serve one timestep, so a time-range answer can never mix two
     // barrier flips' frames — across shards or within one.
     ShardPinSet pins = shards_->PinAll(&trace_ctx);
     ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
@@ -314,9 +271,8 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     result = ShardExecutor(server_.get(), shards_.get())
                  .Execute(*plan, pins, exec_options);
   } else {
-    // Same consistency contract as QueryBatch: one pinned epoch covers
-    // every frame gather of the plan, so a time-range answer can never
-    // mix two epochs' frames.
+    // One pinned epoch covers every frame gather of the plan, so a
+    // time-range answer can never mix two epochs' frames.
     ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
     EpochGuard epoch = epochs_.Pin();
     pin_span.set_arg(epoch.generation());

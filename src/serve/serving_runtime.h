@@ -1,7 +1,7 @@
 // The online serving runtime façade (paper Sec. III, grown into a real
 // continuously-running service): composes the stream ingestor, the
 // epoch-versioned prediction store and the region query server behind
-// one object. Query batches are admission-controlled (bounded in-flight
+// one object. Query specs are admission-controlled (bounded in-flight
 // budget, reject-with-Status on overload), pin one epoch for their whole
 // duration (never observing torn half-synced timesteps), share a
 // resolve cache that survives epoch rolls (resolution is
@@ -27,12 +27,12 @@
 namespace one4all {
 
 struct ServingRuntimeOptions {
-  QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
-  /// Admission control: a batch is rejected outright (ResourceExhausted)
-  /// when admitting it would push the in-flight query count past this.
+  /// Admission control: a spec is rejected outright (ResourceExhausted)
+  /// when admitting it would push the in-flight gather count past this.
   int64_t max_inflight_queries = 4096;
-  /// Worker threads per batch (BatchOptions semantics: 0 = shared pool,
-  /// 1 = caller's thread, > 1 = per-call pool).
+  /// Worker threads per executed spec (QueryExecutorOptions::num_threads
+  /// semantics: 0 = shared pool, 1 = caller's thread, > 1 = per-call
+  /// pool).
   int num_query_threads = 0;
   /// Carry-forward retention horizon in timesteps; see
   /// FrameEpochManagerOptions::retain_timesteps. The default 0 keeps
@@ -62,7 +62,7 @@ struct ServingRuntimeOptions {
 };
 
 /// \brief One4All-ST online serving: streaming ingestion + epoch-
-/// versioned frames + concurrent batched region queries.
+/// versioned frames + concurrent region-query specs.
 class ServingRuntime {
  public:
   /// \param hierarchy,index,dataset Must outlive the runtime. `index` is
@@ -80,23 +80,11 @@ class ServingRuntime {
   /// \brief Stops ingestion (joins the background thread).
   void Stop();
 
-  /// \brief Answers a batch of (region, t) queries against one pinned
-  /// epoch. The whole batch is rejected with ResourceExhausted when it
-  /// would exceed the in-flight budget; per-query failures (e.g. a
-  /// timestep no published epoch covers yet) surface as that entry's
-  /// Status without aborting anything. Counted as a kPointBatch spec;
-  /// uses options().strategy.
-  Result<std::vector<Result<QueryResponse>>> QueryBatch(
-      const std::vector<BatchQuery>& queries);
-
-  /// \brief Single-query convenience over the same admission/pin path.
-  Result<QueryResponse> Query(const GridMask& region, int64_t t);
-
-  /// \brief Composable entry point: plans and executes a typed QuerySpec
-  /// (point / time-range / multi-region / top-k) through the same
-  /// admission-control, epoch-pin and resolve-cache machinery as
-  /// QueryBatch. The spec's own strategy is honored (factories default
-  /// to Union & Subtraction). Admission cost is the plan's total
+  /// \brief The query entry point: plans and executes a typed QuerySpec
+  /// (point / time-range / multi-region / top-k) against one pinned
+  /// epoch, through admission control and the shared resolve cache. The
+  /// spec's own strategy is honored (factories default to Union &
+  /// Subtraction). Admission cost is the plan's total
   /// (region, t) gather count; an over-budget spec is rejected whole
   /// with ResourceExhausted, an invalid one with InvalidArgument. Row
   /// latencies and per-kind spec counts land in the telemetry block.
@@ -104,7 +92,7 @@ class ServingRuntime {
   /// straight through to the plan, no mask copies.
   Result<QueryResult> ExecuteSpec(QuerySpec spec);
 
-  /// \brief Pins the current epoch (tests, multi-batch consistency).
+  /// \brief Pins the current epoch (tests, multi-spec consistency).
   /// Single-shard pin; sharded runtimes pin through shards()->PinAll().
   EpochGuard PinEpoch() { return epochs_.Pin(); }
 
@@ -192,22 +180,8 @@ class ServingRuntime {
   void ReleaseQueries(int64_t cost);
 
   /// \brief Records per-row outcomes (served/failed counts + response
-  /// latency) into the telemetry block. Works for both row shapes —
-  /// legacy QueryResponse and executor QueryRow.
-  template <typename Row>
-  void RecordRowOutcomes(const std::vector<Result<Row>>& rows) {
-    int64_t served = 0, failed = 0;
-    for (const auto& row : rows) {
-      if (row.ok()) {
-        ++served;
-        telemetry_.query_latency.Record(row.ValueOrDie().response_micros);
-      } else {
-        ++failed;
-      }
-    }
-    telemetry_.queries_served.fetch_add(served, std::memory_order_relaxed);
-    telemetry_.queries_failed.fetch_add(failed, std::memory_order_relaxed);
-  }
+  /// latency) into the telemetry block.
+  void RecordRowOutcomes(const std::vector<Result<QueryRow>>& rows);
 
   const Hierarchy* hierarchy_;
   const STDataset* dataset_;
@@ -221,7 +195,7 @@ class ServingRuntime {
   TopKMemo topk_memo_;
 
   // The server is swapped whole on SwapIndex; queries hold the shared
-  // side for the duration of a batch.
+  // side for the duration of a spec.
   mutable std::shared_mutex server_mu_;
   std::unique_ptr<RegionQueryServer> server_;
 

@@ -42,7 +42,7 @@ struct ServingTelemetrySnapshot {
   /// timestep retried — readers never saw any of it.
   int64_t publish_failures = 0;
   /// Executed specs by QuerySpecKind (point / range / multi-region /
-  /// top-k / legacy batch), indexed by static_cast<int>(kind).
+  /// top-k), indexed by static_cast<int>(kind).
   std::array<int64_t, kNumQuerySpecKinds> specs_by_kind{};
   double query_p50_micros = 0.0;  ///< per-query response time (paper sense)
   double query_p99_micros = 0.0;
@@ -92,8 +92,8 @@ class ServingTelemetry {
   Counter stage_dirty_tiles;
   Counter cow_shared_tiles;
   Counter publish_failures;
-  /// Executed specs by QuerySpecKind (legacy QueryBatch counts as
-  /// kPointBatch), indexed by static_cast<int>(kind).
+  /// Executed specs by QuerySpecKind, indexed by
+  /// static_cast<int>(kind).
   std::array<Counter, kNumQuerySpecKinds> specs_by_kind{};
   LatencyHistogram query_latency;    ///< per-query response micros
   LatencyHistogram publish_latency;  ///< per-epoch stage+publish micros

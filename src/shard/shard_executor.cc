@@ -32,38 +32,6 @@ struct ShardSlot {
   int64_t num_steps() const { return t_max - t_min + 1; }
 };
 
-/// \brief Band-local twin of FrameMemo: one GetTiledFrameAt per
-/// (layer, t), handing back the zero-copy slice frame so the caller reads
-/// individual term cells in place (FrameMemo folds; the scatter stage
-/// must not).
-class BandFrameMemo {
- public:
-  BandFrameMemo(const PredictionStore* store, int64_t generation)
-      : store_(store), generation_(generation) {}
-
-  Result<const TiledFrame*> Get(int layer, int64_t t) {
-    const Key key{layer, t};
-    auto it = std::lower_bound(
-        frames_.begin(), frames_.end(), key,
-        [](const Entry& e, const Key& k) { return e.first < k; });
-    if (it == frames_.end() || it->first != key) {
-      Result<std::shared_ptr<const TiledFrame>> frame =
-          store_->GetTiledFrameAt(generation_, layer, t);
-      O4A_RETURN_NOT_OK(frame.status());
-      it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
-    }
-    return it->second.get();
-  }
-
- private:
-  using Key = std::pair<int, int64_t>;
-  using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
-
-  const PredictionStore* store_;
-  int64_t generation_;
-  std::vector<Entry> frames_;  ///< key-ascending
-};
-
 /// \brief One failed term read: shard k could not serve (term, t). The
 /// merge keeps the lowest term index per (slot, dt), so a row fails
 /// with the same status the single-shard cell loop (first failing term
@@ -95,9 +63,7 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
                      Status::Internal("row not evaluated"));
 
   const int num_shards = shards_->num_shards();
-  const size_t num_slots = plan.borrowed_regions.empty()
-                               ? plan.slot_regions.size()
-                               : plan.borrowed_regions.size();
+  const size_t num_slots = plan.slot_regions.size();
 
   // -- Stage 1: resolve each distinct region at its home shard ------------
   Stopwatch stage_timer;
@@ -205,8 +171,9 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
               0.0f);
           int64_t term_reads = 0;
           ScopedSpan scatter_span(&shard_trace, SpanName::kShardScatter);
-          BandFrameMemo memo(&shards_->shard(static_cast<int>(k)).store,
-                             pins.generation(static_cast<int>(k)));
+          query_internal::FrameMemo memo(
+              &shards_->shard(static_cast<int>(k)).store,
+              pins.generation(static_cast<int>(k)));
           for (size_t s = 0; s < num_slots; ++s) {
             const ShardSlot& slot = slots[s];
             if (!slot.resolved.ok() || slot.t_max < slot.t_min) continue;
@@ -336,37 +303,6 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
   query_internal::RankTopK(plan, options.trace, &result);
   result.timings.total_micros = total_timer.ElapsedMicros();
   return result;
-}
-
-std::vector<Result<QueryResponse>> ShardExecutor::ExecuteBatch(
-    const std::vector<BatchQuery>& queries, QueryStrategy strategy,
-    const ShardPinSet& pins, const ShardExecutorOptions& options) const {
-  QueryPlanner planner(server_->hierarchy());
-  Result<QueryPlan> plan = planner.PlanBatch(queries, strategy);
-  if (!plan.ok()) {
-    return std::vector<Result<QueryResponse>>(queries.size(),
-                                              plan.status());
-  }
-  QueryResult result = Execute(*plan, pins, options);
-  std::vector<Result<QueryResponse>> responses;
-  responses.reserve(result.rows.size());
-  for (Result<QueryRow>& row : result.rows) {
-    if (!row.ok()) {
-      responses.push_back(row.status());
-      continue;
-    }
-    QueryResponse response;
-    response.value = row->value;
-    response.num_pieces = row->num_pieces;
-    response.num_terms = row->num_terms;
-    response.decompose_micros = row->decompose_micros;
-    response.index_micros = row->index_micros;
-    response.eval_micros = row->eval_micros;
-    response.response_micros = row->response_micros;
-    response.from_cache = row->from_cache;
-    responses.push_back(std::move(response));
-  }
-  return responses;
 }
 
 }  // namespace one4all

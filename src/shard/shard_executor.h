@@ -48,13 +48,6 @@ class ShardExecutor {
   QueryResult Execute(const QueryPlan& plan, const ShardPinSet& pins,
                       const ShardExecutorOptions& options = {}) const;
 
-  /// \brief Legacy batch surface: PlanBatch + Execute + QueryResponse
-  /// conversion, answer-compatible with RegionQueryServer::BatchPredict.
-  std::vector<Result<QueryResponse>> ExecuteBatch(
-      const std::vector<BatchQuery>& queries, QueryStrategy strategy,
-      const ShardPinSet& pins,
-      const ShardExecutorOptions& options = {}) const;
-
  private:
   const RegionQueryServer* server_;
   ShardSet* shards_;

@@ -35,9 +35,7 @@ std::vector<std::vector<int32_t>> ShardRouter::ScatterTerms(
 }
 
 std::string ShardRouter::DescribeSplit(const QueryPlan& plan) const {
-  const size_t num_slots = plan.borrowed_regions.empty()
-                               ? plan.slot_regions.size()
-                               : plan.borrowed_regions.size();
+  const size_t num_slots = plan.slot_regions.size();
   std::ostringstream out;
   out << "  4. shard scatter: " << map_->num_shards()
       << " band shards, terms evaluated by cell owner, series re-folded"

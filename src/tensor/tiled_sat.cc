@@ -10,8 +10,8 @@ namespace one4all {
 
 namespace {
 
-// Same fan-out threshold as BuildSatPlane: below this, per-tile builds
-// run sequentially — the frames are too small to pay pool overhead.
+// Below this many cells, per-tile builds run sequentially — the frames
+// are too small to pay pool overhead.
 constexpr int64_t kParallelThresholdCells = 1 << 15;
 
 int64_t TilesFor(int64_t n) {
@@ -504,16 +504,6 @@ void TiledSatPlane::RebuildAggregatesDelta(const TiledSatPlane& base,
       }
     }
   }
-}
-
-SatPlane TiledSatPlane::Materialize() const {
-  SatPlane plane(h_, w_);
-  double* dst = plane.data();
-  const int64_t stride = w_ + 1;
-  for (int64_t r = 0; r <= h_; ++r) {
-    for (int64_t c = 0; c <= w_; ++c) dst[r * stride + c] = PrefixAt(r, c);
-  }
-  return plane;
 }
 
 // ---------------------------------------------------------------------

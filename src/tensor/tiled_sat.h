@@ -18,7 +18,7 @@
 // Because aggregates are a pure function of the locals and clean locals
 // are aliased bit-for-bit, an incremental rebuild is bit-identical to a
 // full rebuild of the same frame — which is what lets the parity tests
-// pin incremental staging against the monolithic SatPlane.
+// pin incremental staging against a flat reference prefix-sum plane.
 #ifndef ONE4ALL_TENSOR_TILED_SAT_H_
 #define ONE4ALL_TENSOR_TILED_SAT_H_
 
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/logging.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tensor.h"
 
 namespace one4all {
@@ -212,10 +211,13 @@ class TiledFrame {
   std::vector<const float*> block_data_;
 };
 
-/// \brief Two-level summed-area plane over a TiledFrame. Same query
-/// contract as SatPlane (PrefixAt = sum over [0, r) x [0, c); RectSum =
-/// four corner reads of the half-open rect), different storage: local
-/// per-tile prefixes held by shared_ptr + small aggregate carries.
+/// \brief Two-level summed-area plane over a TiledFrame. The query
+/// contract of a flat (H+1) x (W+1) double prefix-sum table (PrefixAt =
+/// sum over [0, r) x [0, c); RectSum = four corner reads of the half-open
+/// rect), different storage: local per-tile prefixes held by shared_ptr +
+/// small aggregate carries. Double precision is load-bearing: four-corner
+/// rect sums subtract near-equal partial sums, and float planes would
+/// lose the 1e-9 relative agreement with the exact per-cell loop.
 /// Immutable once built; copying aliases every local block.
 class TiledSatPlane {
  public:
@@ -271,9 +273,9 @@ class TiledSatPlane {
     return p;
   }
 
-  /// \brief Sum over the half-open rect [r0, r1) x [c0, c1) — same
-  /// grouping as SatPlane::RectSum, so the gather fast path's four-
-  /// corner arithmetic is unchanged in shape.
+  /// \brief Sum over the half-open rect [r0, r1) x [c0, c1): four
+  /// corner reads, grouped (bottom-right - bottom-left) - (top-right -
+  /// top-left) like a flat prefix table.
   double RectSum(int64_t r0, int64_t c0, int64_t r1, int64_t c1) const {
     O4A_DCHECK(r0 >= 0 && c0 >= 0 && r1 <= h_ && c1 <= w_);
     O4A_DCHECK(r0 <= r1 && c0 <= c1);
@@ -294,10 +296,6 @@ class TiledSatPlane {
     return local_[static_cast<size_t>(i * tiles_w_ + j)] ==
            other.local_[static_cast<size_t>(i * tiles_w_ + j)];
   }
-
-  /// \brief Monolithic (H+1) x (W+1) copy for parity tests and legacy
-  /// readers; O(cells).
-  SatPlane Materialize() const;
 
  private:
   using LocalBlock = std::shared_ptr<const std::vector<double>>;

@@ -1,10 +1,11 @@
 // Tests for the columnar gather engine and epoch-published summed-area
-// planes: the prefix-sum kernel's four-corner rect sums against the
-// GridMask::MaskedSum brute force (randomized, across shapes and edge
+// planes: the reference prefix-sum oracle's four-corner rect sums against
+// the GridMask::MaskedSum brute force (randomized, across shapes and edge
 // rects), gather-program compilation (rect-run collapsing, duplicate
 // terms, sign separation), executor fast-path parity with the exact cell
-// loop, the bit-exactness pin of EvalPath::kExactCellLoop against the
-// legacy surface, plane storage/lifecycle in the prediction store and
+// loop, the bit-exactness pin of EvalPath::kExactCellLoop against
+// RegionQueryServer::EvaluateTerms, plane storage/lifecycle in the
+// prediction store and
 // epoch manager, and the plane-publish hammer raced under TSan (a pinned
 // epoch must never observe a torn or missing plane).
 #include <gtest/gtest.h>
@@ -20,19 +21,22 @@
 #include "query/query_executor.h"
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
+#include "sat_oracle.h"
 #include "serve/epoch_manager.h"
-#include "tensor/prefix_sum.h"
 #include "test_util.h"
 
 namespace one4all {
 namespace {
 
+using testing::BuildSatPlane;
+using testing::MaterializeSatPlane;
 using testing::OraclePredictor;
 using testing::RandomMask;
+using testing::SatPlane;
 using testing::TinyDataset;
 
 // ---------------------------------------------------------------------------
-// SatPlane / BuildSatPlane
+// SatPlane / BuildSatPlane (the reference oracle of tests/sat_oracle.h)
 
 double BruteForceRectSum(const Tensor& frame, int64_t r0, int64_t c0,
                          int64_t r1, int64_t c1) {
@@ -86,21 +90,6 @@ TEST(SatPlaneTest, RectSumsMatchMaskedSumBruteForce) {
                                     static_cast<uint64_t>(w - c0)));
       check(r0, c0, r1, c1);
     }
-  }
-}
-
-TEST(SatPlaneTest, BlockedParallelBuildMatchesSequential) {
-  Rng rng(99);
-  // Big enough to clear the kernel's parallel threshold and span several
-  // column strips would need > 512 columns; 600 forces two strips.
-  const Tensor frame = Tensor::RandomNormal({128, 600}, &rng);
-  const SatPlane sequential = BuildSatPlane(frame);
-  ThreadPool pool(3);
-  const SatPlane parallel = BuildSatPlane(frame, &pool);
-  ASSERT_EQ(parallel.numel(), sequential.numel());
-  // Identical split-free arithmetic per element: bitwise equal.
-  for (int64_t i = 0; i < sequential.numel(); ++i) {
-    ASSERT_EQ(parallel.data()[i], sequential.data()[i]) << "entry " << i;
   }
 }
 
@@ -371,30 +360,35 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
   }
 }
 
-TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithLegacySurface) {
-  // The PR-4 regression pin, restated against the explicit flag: a spec
-  // forced onto kExactCellLoop reproduces BatchPredict bit-for-bit even
-  // though the flat-vector memo replaced the std::map one.
+TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithEvaluateTerms) {
+  // The regression pin, restated against the explicit flag: point and
+  // multi-region specs forced onto kExactCellLoop reproduce the term-
+  // order sum of TryEvaluateTerms bit-for-bit, through the memoized
+  // tiled frame reads.
   GatherFixture fx;
   const auto regions = fx.MixedRegions();
-  std::vector<BatchQuery> queries;
-  for (const GridMask& region : regions) {
-    for (int64_t t : fx.pipeline->test_timesteps()) {
-      queries.push_back(BatchQuery{region, t});
+  for (int64_t t : fx.pipeline->test_timesteps()) {
+    QuerySpec group = QuerySpec::MultiRegion(regions, t);
+    group.eval_path = EvalPath::kExactCellLoop;
+    auto group_plan = fx.planner().Plan(group);
+    ASSERT_TRUE(group_plan.ok());
+    const QueryResult grouped = fx.executor().Execute(*group_plan);
+    for (size_t i = 0; i < regions.size(); ++i) {
+      auto resolved =
+          fx.server().Resolve(regions[i], QueryStrategy::kUnionSubtraction);
+      ASSERT_TRUE(resolved.ok());
+      auto reference = fx.server().TryEvaluateTerms(resolved->terms, t);
+      ASSERT_TRUE(reference.ok());
+      QuerySpec spec = QuerySpec::PointInTime(regions[i], t);
+      spec.eval_path = EvalPath::kExactCellLoop;
+      auto plan = fx.planner().Plan(spec);
+      ASSERT_TRUE(plan.ok());
+      const QueryResult result = fx.executor().Execute(*plan);
+      ASSERT_TRUE(result.rows[0].ok());
+      ASSERT_TRUE(grouped.rows[i].ok());
+      EXPECT_EQ(result.rows[0]->value, *reference) << "region " << i;
+      EXPECT_EQ(grouped.rows[i]->value, *reference) << "region " << i;
     }
-  }
-  const auto legacy = fx.server().BatchPredict(
-      queries, QueryStrategy::kUnionSubtraction);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QuerySpec spec = QuerySpec::PointInTime(queries[i].region,
-                                            queries[i].t);
-    spec.eval_path = EvalPath::kExactCellLoop;
-    auto plan = fx.planner().Plan(spec);
-    ASSERT_TRUE(plan.ok());
-    const QueryResult result = fx.executor().Execute(*plan);
-    ASSERT_TRUE(legacy[i].ok());
-    ASSERT_TRUE(result.rows[0].ok());
-    EXPECT_EQ(result.rows[0]->value, legacy[i]->value) << "query " << i;
   }
 }
 
@@ -415,15 +409,16 @@ TEST(SatPlaneStoreTest, PlanesAreDerivedDataNotFrames) {
   EXPECT_EQ(store.NumSatPlanesAt(7), 2);
   ASSERT_TRUE(store.HasSatPlaneAt(7, 1, 12));
 
-  auto plane = store.GetSatPlaneAt(7, 1, 12);
+  auto plane = store.GetTiledSatPlaneAt(7, 1, 12);
   ASSERT_TRUE(plane.ok());
+  const SatPlane stored = MaterializeSatPlane(**plane);
   const SatPlane reference = BuildSatPlane(frame);
-  ASSERT_EQ(plane->numel(), reference.numel());
+  ASSERT_EQ(stored.numel(), reference.numel());
   for (int64_t i = 0; i < reference.numel(); ++i) {
-    ASSERT_EQ(plane->data()[i], reference.data()[i]);
+    ASSERT_EQ(stored.data()[i], reference.data()[i]);
   }
 
-  EXPECT_EQ(store.GetSatPlaneAt(7, 1, 99).status().code(),
+  EXPECT_EQ(store.GetTiledSatPlaneAt(7, 1, 99).status().code(),
             StatusCode::kNotFound);
 
   // Overwriting a frame invalidates its derived plane — a stale plane

@@ -6,6 +6,8 @@
 #include "eval/task_eval.h"
 #include "model/one4all_net.h"
 #include "model/trainer.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "test_util.h"
 
 namespace one4all {
@@ -49,7 +51,11 @@ TEST(TernaryHierarchyTest, PipelineAnswersExactlyWithOracle) {
       combo.terms = resolved->terms;
       EXPECT_TRUE(combo.CoversExactly(ds.hierarchy(), region));
       for (int64_t t : pipeline->test_timesteps()) {
-        auto response = pipeline->server().Predict(region, t, strategy);
+        auto plan = QueryPlanner(&ds.hierarchy())
+                        .Plan(QuerySpec::PointInTime(region, t, strategy));
+        ASSERT_TRUE(plan.ok());
+        const Result<QueryRow> response =
+            QueryExecutor(&pipeline->server()).Execute(*plan).rows[0];
         ASSERT_TRUE(response.ok());
         EXPECT_NEAR(response->value, RegionTruth(ds, region, t), 1e-2);
       }

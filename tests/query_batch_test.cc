@@ -1,6 +1,7 @@
-// Tests for the concurrent batch region-query engine: BatchPredict /
-// BatchResolve parity with the sequential path, the sharded LRU
-// ResolvedQueryCache, and the ThreadPool substrate.
+// Tests for the concurrent region-query engine: multi-region specs run
+// by the QueryExecutor (frame memo, thread fan-out, resolve cache) in
+// parity with one point spec per region, per-row failure isolation, the
+// sharded LRU ResolvedQueryCache, and the ThreadPool substrate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,8 @@
 
 #include "core/thread_pool.h"
 #include "eval/task_eval.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "test_util.h"
 
@@ -34,21 +37,35 @@ struct BatchFixture {
     pipeline = MauPipeline::Build(&oracle, ds, SearchOptions{});
   }
 
-  /// \brief (region x test-slot) cross product of `num_regions` random
-  /// non-empty masks.
-  std::vector<BatchQuery> MakeQueries(int num_regions,
-                                      uint64_t seed = 700) const {
-    std::vector<BatchQuery> queries;
+  /// \brief `num_regions` random non-empty masks.
+  std::vector<GridMask> MakeRegions(int num_regions,
+                                    uint64_t seed = 700) const {
+    std::vector<GridMask> regions;
     for (int i = 0; i < num_regions; ++i) {
       const GridMask region = RandomMask(8, 8, seed + i, 350);
-      if (region.Empty()) continue;
-      for (int64_t t : pipeline->test_timesteps()) {
-        queries.push_back(BatchQuery{region, t});
-      }
+      if (!region.Empty()) regions.push_back(region);
     }
-    return queries;
+    return regions;
+  }
+
+  /// \brief Plans and runs `spec` against the pipeline's server.
+  QueryResult Run(QuerySpec spec,
+                  const QueryExecutorOptions& options = {}) const {
+    auto plan = QueryPlanner(&ds.hierarchy()).Plan(std::move(spec));
+    O4A_CHECK(plan.ok()) << plan.status().ToString();
+    return QueryExecutor(&pipeline->server()).Execute(*plan, options);
   }
 };
+
+/// \brief The server's resolve path with the fingerprint the planner
+/// would hand it.
+Result<std::shared_ptr<const ResolvedQuery>> ResolveCached(
+    const RegionQueryServer& server, const GridMask& region,
+    QueryStrategy strategy, ResolvedQueryCache* cache, bool* hit) {
+  return server.ResolveCached(region, strategy,
+                              FingerprintRegion(region, strategy), cache,
+                              hit);
+}
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
@@ -86,92 +103,106 @@ TEST(ThreadPoolTest, ParallelForEmptyAndSingleThread) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(QueryBatchTest, BatchMatchesSequentialAcrossStrategies) {
+TEST(QueryBatchTest, MultiRegionMatchesPointSpecsAcrossStrategies) {
   BatchFixture fx;
-  const auto queries = fx.MakeQueries(6);
-  ASSERT_FALSE(queries.empty());
-  const RegionQueryServer& server = fx.pipeline->server();
+  const auto regions = fx.MakeRegions(6);
+  ASSERT_FALSE(regions.empty());
   for (QueryStrategy strategy : kAllStrategies) {
-    const auto batch = server.BatchPredict(queries, strategy);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto sequential =
-          server.Predict(queries[i].region, queries[i].t, strategy);
-      ASSERT_TRUE(sequential.ok());
-      ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
-      // Bitwise equality: the memoized evaluation sums the same floats in
-      // the same order as EvaluateTerms.
-      EXPECT_EQ(batch[i]->value, sequential->value)
-          << QueryStrategyName(strategy) << " query " << i;
-      EXPECT_EQ(batch[i]->num_pieces, sequential->num_pieces);
-      EXPECT_EQ(batch[i]->num_terms, sequential->num_terms);
-      EXPECT_FALSE(batch[i]->from_cache);
+    for (int64_t t : fx.pipeline->test_timesteps()) {
+      const QueryResult group =
+          fx.Run(QuerySpec::MultiRegion(regions, t, strategy));
+      ASSERT_EQ(group.rows.size(), regions.size());
+      for (size_t i = 0; i < regions.size(); ++i) {
+        const QueryResult point =
+            fx.Run(QuerySpec::PointInTime(regions[i], t, strategy));
+        ASSERT_TRUE(point.rows[0].ok());
+        ASSERT_TRUE(group.rows[i].ok()) << group.rows[i].status().ToString();
+        // Bitwise equality: the memoized evaluation sums the same floats
+        // in the same order for every row of every spec shape.
+        EXPECT_EQ(group.rows[i]->value, point.rows[0]->value)
+            << QueryStrategyName(strategy) << " region " << i;
+        EXPECT_EQ(group.rows[i]->num_pieces, point.rows[0]->num_pieces);
+        EXPECT_EQ(group.rows[i]->num_terms, point.rows[0]->num_terms);
+        EXPECT_FALSE(group.rows[i]->from_cache);
+      }
     }
   }
 }
 
-TEST(QueryBatchTest, MultiThreadedBatchMatchesSingleThreaded) {
+TEST(QueryBatchTest, MultiThreadedSpecsMatchSingleThreaded) {
   BatchFixture fx;
-  const auto queries = fx.MakeQueries(8);
-  const RegionQueryServer& server = fx.pipeline->server();
+  const auto regions = fx.MakeRegions(8);
   ThreadPool pool(4);
+  QueryExecutorOptions shared_pool;
+  shared_pool.pool = &pool;
+  QueryExecutorOptions own_threads;
+  own_threads.num_threads = 3;
   for (QueryStrategy strategy : kAllStrategies) {
-    const auto single = server.BatchPredict(queries, strategy);
-    BatchOptions options;
-    options.pool = &pool;
-    const auto multi = server.BatchPredict(queries, strategy, options);
-    BatchOptions own_threads;
-    own_threads.num_threads = 3;
-    const auto own = server.BatchPredict(queries, strategy, own_threads);
-    ASSERT_EQ(multi.size(), single.size());
-    ASSERT_EQ(own.size(), single.size());
-    for (size_t i = 0; i < single.size(); ++i) {
-      ASSERT_TRUE(single[i].ok());
-      ASSERT_TRUE(multi[i].ok());
-      ASSERT_TRUE(own[i].ok());
-      EXPECT_EQ(multi[i]->value, single[i]->value);
-      EXPECT_EQ(own[i]->value, single[i]->value);
+    for (int64_t t : fx.pipeline->test_timesteps()) {
+      const QuerySpec spec = QuerySpec::MultiRegion(regions, t, strategy);
+      const QueryResult single = fx.Run(spec);
+      const QueryResult multi = fx.Run(spec, shared_pool);
+      const QueryResult own = fx.Run(spec, own_threads);
+      ASSERT_EQ(multi.rows.size(), single.rows.size());
+      ASSERT_EQ(own.rows.size(), single.rows.size());
+      for (size_t i = 0; i < single.rows.size(); ++i) {
+        ASSERT_TRUE(single.rows[i].ok());
+        ASSERT_TRUE(multi.rows[i].ok());
+        ASSERT_TRUE(own.rows[i].ok());
+        EXPECT_EQ(multi.rows[i]->value, single.rows[i]->value);
+        EXPECT_EQ(own.rows[i]->value, single.rows[i]->value);
+        EXPECT_EQ(own.rows[i]->num_terms, single.rows[i]->num_terms);
+      }
     }
   }
 }
 
-TEST(QueryBatchTest, CachedBatchMatchesAndHits) {
+TEST(QueryBatchTest, CachedSpecsMatchAndHit) {
   BatchFixture fx;
-  const auto queries = fx.MakeQueries(5);
-  const RegionQueryServer& server = fx.pipeline->server();
-  const auto plain =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction);
-
+  const auto regions = fx.MakeRegions(5);
+  const auto& slots = fx.pipeline->test_timesteps();
   ResolvedQueryCache cache;
-  BatchOptions options;
-  options.cache = &cache;
-  const auto cached =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction, options);
-  ASSERT_EQ(cached.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(cached[i].ok());
-    EXPECT_EQ(cached[i]->value, plain[i]->value);
+  QueryExecutorOptions cached;
+  cached.cache = &cache;
+  std::vector<QueryResult> plain;
+  for (int64_t t : slots) {
+    plain.push_back(fx.Run(QuerySpec::MultiRegion(regions, t)));
+  }
+  int64_t hits = 0, misses = 0;
+  for (size_t s = 0; s < slots.size(); ++s) {
+    const QueryResult answer =
+        fx.Run(QuerySpec::MultiRegion(regions, slots[s]), cached);
+    hits += answer.cache_hits;
+    misses += answer.cache_misses;
+    for (size_t i = 0; i < regions.size(); ++i) {
+      ASSERT_TRUE(answer.rows[i].ok());
+      EXPECT_EQ(answer.rows[i]->value, plain[s].rows[i]->value);
+    }
   }
   // Each distinct region resolves once; every later time slot hits.
   const auto stats = cache.Stats();
   EXPECT_GT(stats.hits, 0);
   EXPECT_GT(stats.misses, 0);
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
   EXPECT_EQ(stats.size, static_cast<size_t>(stats.misses));
   EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<int64_t>(queries.size()));
+            static_cast<int64_t>(regions.size() * slots.size()));
 
-  // A second pass over the same queries is all hits.
-  const auto again =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction, options);
+  // A second pass over the same specs is all hits.
+  for (size_t s = 0; s < slots.size(); ++s) {
+    const QueryResult again =
+        fx.Run(QuerySpec::MultiRegion(regions, slots[s]), cached);
+    for (size_t i = 0; i < regions.size(); ++i) {
+      ASSERT_TRUE(again.rows[i].ok());
+      EXPECT_EQ(again.rows[i]->value, plain[s].rows[i]->value);
+      EXPECT_TRUE(again.rows[i]->from_cache);
+    }
+  }
   const auto stats2 = cache.Stats();
   EXPECT_EQ(stats2.misses, stats.misses);
   EXPECT_EQ(stats2.hits,
-            stats.hits + static_cast<int64_t>(queries.size()));
-  for (size_t i = 0; i < again.size(); ++i) {
-    ASSERT_TRUE(again[i].ok());
-    EXPECT_EQ(again[i]->value, plain[i]->value);
-    EXPECT_TRUE(again[i]->from_cache);
-  }
+            stats.hits + static_cast<int64_t>(regions.size() * slots.size()));
 }
 
 TEST(QueryBatchTest, ResolveCachedReportsCacheHitOutParam) {
@@ -182,32 +213,35 @@ TEST(QueryBatchTest, ResolveCachedReportsCacheHitOutParam) {
 
   // Without a cache: never a hit, even when primed true.
   bool hit = true;
-  auto uncached = server.ResolveCached(
-      region, QueryStrategy::kUnionSubtraction, nullptr, &hit);
+  auto uncached = ResolveCached(
+      server, region, QueryStrategy::kUnionSubtraction, nullptr, &hit);
   ASSERT_TRUE(uncached.ok());
   EXPECT_FALSE(hit);
 
   ResolvedQueryCache cache;
   hit = true;
-  auto first = server.ResolveCached(
-      region, QueryStrategy::kUnionSubtraction, &cache, &hit);
+  auto first = ResolveCached(
+      server, region, QueryStrategy::kUnionSubtraction, &cache, &hit);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(hit);  // cold cache: a miss
 
   hit = false;
-  auto second = server.ResolveCached(
-      region, QueryStrategy::kUnionSubtraction, &cache, &hit);
+  auto second = ResolveCached(
+      server, region, QueryStrategy::kUnionSubtraction, &cache, &hit);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(hit);
   // The hit returns the same shared resolution, not a re-resolve.
   EXPECT_EQ(second->get(), first->get());
 
-  // A failing resolve reports no hit either (nullptr out-param is also
-  // legal — exercised implicitly by BatchResolve).
+  // A failing resolve reports no hit either; a null out-param is legal.
   hit = true;
   GridMask empty(8, 8);
-  auto failed = server.ResolveCached(
-      empty, QueryStrategy::kUnionSubtraction, &cache, &hit);
+  auto failed = ResolveCached(
+      server, empty, QueryStrategy::kUnionSubtraction, &cache, &hit);
+  EXPECT_FALSE(ResolveCached(server, empty,
+                             QueryStrategy::kUnionSubtraction, &cache,
+                             nullptr)
+                   .ok());
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(hit);
 }
@@ -224,7 +258,7 @@ TEST(QueryBatchTest, CacheKeysDistinguishStrategiesForSameMask) {
 
   for (QueryStrategy strategy : kAllStrategies) {
     bool hit = true;
-    auto resolved = server.ResolveCached(region, strategy, &cache, &hit);
+    auto resolved = ResolveCached(server, region, strategy, &cache, &hit);
     ASSERT_TRUE(resolved.ok());
     // No cross-strategy pollution: each first lookup is a miss...
     EXPECT_FALSE(hit) << QueryStrategyName(strategy);
@@ -233,7 +267,7 @@ TEST(QueryBatchTest, CacheKeysDistinguishStrategiesForSameMask) {
   // ...and each strategy's entry replays its own resolution.
   for (QueryStrategy strategy : kAllStrategies) {
     bool hit = false;
-    auto cached = server.ResolveCached(region, strategy, &cache, &hit);
+    auto cached = ResolveCached(server, region, strategy, &cache, &hit);
     ASSERT_TRUE(cached.ok());
     EXPECT_TRUE(hit);
     auto fresh = server.Resolve(region, strategy);
@@ -279,56 +313,50 @@ TEST(QueryBatchTest, StrategiesDoNotShareCacheEntries) {
   const RegionQueryServer& server = fx.pipeline->server();
   for (QueryStrategy strategy : kAllStrategies) {
     bool hit = true;
-    auto resolved = server.ResolveCached(region, strategy, &cache, &hit);
+    auto resolved = ResolveCached(server, region, strategy, &cache, &hit);
     ASSERT_TRUE(resolved.ok());
     EXPECT_FALSE(hit) << QueryStrategyName(strategy);
   }
   EXPECT_EQ(cache.Size(), 3u);
 }
 
-TEST(QueryBatchTest, ErrorsStayPerQuery) {
+TEST(QueryBatchTest, ErrorsStayPerRow) {
   BatchFixture fx;
-  std::vector<BatchQuery> queries = fx.MakeQueries(2);
-  ASSERT_GE(queries.size(), 2u);
-  BatchQuery bad;
-  bad.region = GridMask(3, 3);  // wrong extents
-  bad.region.Set(0, 0, true);
-  bad.t = queries[0].t;
-  queries.insert(queries.begin() + 1, bad);
-  const auto results =
-      fx.pipeline->server().BatchPredict(queries, QueryStrategy::kUnion);
-  ASSERT_EQ(results.size(), queries.size());
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST(QueryBatchTest, BatchResolveMatchesResolve) {
-  BatchFixture fx;
-  std::vector<GridMask> regions;
-  for (int i = 0; i < 6; ++i) {
-    const GridMask region = RandomMask(8, 8, 40 + i, 380);
-    if (!region.Empty()) regions.push_back(region);
-  }
-  ASSERT_FALSE(regions.empty());
   const RegionQueryServer& server = fx.pipeline->server();
-  BatchOptions options;
-  options.num_threads = 2;
-  const auto batch =
-      server.BatchResolve(regions, QueryStrategy::kUnionSubtraction, options);
-  ASSERT_EQ(batch.size(), regions.size());
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const auto sequential =
-        server.Resolve(regions[i], QueryStrategy::kUnionSubtraction);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(batch[i].ok());
-    ASSERT_EQ(batch[i]->terms.size(), sequential->terms.size());
-    for (size_t k = 0; k < sequential->terms.size(); ++k) {
-      EXPECT_EQ(batch[i]->terms[k], sequential->terms[k]);
-    }
-    EXPECT_EQ(batch[i]->num_pieces, sequential->num_pieces);
-  }
+  const int64_t t = fx.pipeline->test_timesteps().front();
+  // A store holding only the atomic layer (layer 1) at t: a one-cell
+  // region (Direct: one atomic term) answers, a 2x2 block (one layer-2
+  // grid) finds no frame — and only its own row fails.
+  PredictionStore atomic_only;
+  auto frame = server.store()->GetFrame(1, t);
+  ASSERT_TRUE(frame.ok());
+  atomic_only.SyncFrame(1, t, *frame);
+  const RegionQueryServer partial(&fx.ds.hierarchy(), &fx.pipeline->index(),
+                                  &atomic_only);
+  GridMask cell(8, 8), block(8, 8);
+  cell.Set(3, 5, true);
+  block.FillRect(2, 2, 4, 4);
+  auto plan = QueryPlanner(&fx.ds.hierarchy())
+                  .Plan(QuerySpec::MultiRegion({cell, block, cell}, t,
+                                               QueryStrategy::kDirect));
+  ASSERT_TRUE(plan.ok());
+  const QueryResult result = QueryExecutor(&partial).Execute(*plan);
+  ASSERT_EQ(result.rows.size(), 3u);
+  ASSERT_TRUE(result.rows[0].ok());
+  EXPECT_EQ(result.rows[0]->value, static_cast<double>(frame->at(3, 5)));
+  EXPECT_EQ(result.rows[1].status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(result.rows[2].ok());
+  EXPECT_EQ(result.rows[2]->value, result.rows[0]->value);
+
+  // A structurally invalid region is the caller's bug: the planner
+  // rejects the whole spec before anything runs.
+  GridMask wrong_extent(3, 3);
+  wrong_extent.Set(0, 0, true);
+  EXPECT_EQ(QueryPlanner(&fx.ds.hierarchy())
+                .Plan(QuerySpec::MultiRegion({cell, wrong_extent}, t))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ResolvedQueryCacheTest, EvictsLeastRecentlyUsed) {

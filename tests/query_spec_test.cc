@@ -1,6 +1,6 @@
 // Tests for the composable query API: QuerySpec validation, planner
-// compilation (dedup, row/timestep layout), executor parity with the
-// legacy Predict/BatchPredict surface (bit-exact), time-range
+// compilation (dedup, row/timestep layout), executor parity with
+// Resolve + EvaluateTerms (bit-exact), time-range
 // aggregation, grouped cache probes, top-k ranking, per-row failure
 // isolation, and the ServingRuntime::ExecuteSpec admission/telemetry
 // path.
@@ -39,6 +39,13 @@ struct SpecFixture {
   const RegionQueryServer& server() const { return pipeline->server(); }
   QueryPlanner planner() const { return QueryPlanner(&ds.hierarchy()); }
   QueryExecutor executor() const { return QueryExecutor(&server()); }
+
+  /// \brief One uncached point spec's row.
+  Result<QueryRow> Point(const GridMask& region, int64_t t) const {
+    auto plan = planner().Plan(QuerySpec::PointInTime(region, t));
+    if (!plan.ok()) return plan.status();
+    return executor().Execute(*plan).rows[0];
+  }
 
   std::vector<GridMask> SomeRegions(int n, uint64_t seed = 700) const {
     std::vector<GridMask> regions;
@@ -82,12 +89,6 @@ TEST(QuerySpecTest, ValidationCatchesStructuralErrors) {
 
   EXPECT_EQ(planner.Plan(QuerySpec::TopK({ok}, 0, 0)).status().code(),
             StatusCode::kInvalidArgument);  // k < 1
-
-  QuerySpec batch_through_plan;
-  batch_through_plan.kind = QuerySpecKind::kPointBatch;
-  batch_through_plan.regions.push_back(ok);
-  EXPECT_EQ(planner.Plan(batch_through_plan).status().code(),
-            StatusCode::kInvalidArgument);  // PlanBatch-only shape
 
   EXPECT_TRUE(planner.Plan(QuerySpec::PointInTime(ok, 0)).ok());
 }
@@ -174,83 +175,41 @@ TEST(QueryPlannerTest, RangePlanGathersEveryTimestep) {
   EXPECT_EQ(plan->num_point_queries(), 8);
 }
 
-TEST(QueryPlannerTest, BatchPlanKeepsOneSlotPerRow) {
-  SpecFixture fx;
-  auto regions = fx.SomeRegions(2);
-  std::vector<BatchQuery> queries = {{regions[0], 80},
-                                     {regions[0], 81},
-                                     {regions[1], 80}};
-  auto plan = fx.planner().PlanBatch(queries,
-                                     QueryStrategy::kUnionSubtraction);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->spec.kind, QuerySpecKind::kPointBatch);
-  // No dedup: the legacy surface's per-query cache probes are contract.
-  EXPECT_EQ(plan->slot_regions.size(), 3u);
-  ASSERT_EQ(plan->rows.size(), 3u);
-  EXPECT_EQ(plan->rows[1].t0, 81);
-  EXPECT_EQ(plan->rows[1].t1, 81);
-  // Batch plans borrow the caller's masks instead of copying them.
-  EXPECT_TRUE(plan->spec.regions.empty());
-  EXPECT_EQ(&plan->RegionForSlot(0), &queries[0].region);
-  EXPECT_EQ(&plan->RegionForSlot(2), &queries[2].region);
-}
-
 // ---------------------------------------------------------------------------
-// Executor parity with the legacy surface (the acceptance regression)
+// Executor parity with the query primitives (the acceptance regression)
 
-TEST(QueryExecutorTest, PointSpecBitExactWithLegacyBatchPredict) {
+TEST(QueryExecutorTest, PointSpecBitExactWithEvaluateTerms) {
   SpecFixture fx;
   const auto regions = fx.SomeRegions(6);
-  std::vector<BatchQuery> queries;
-  for (const GridMask& region : regions) {
-    for (int64_t t : fx.pipeline->test_timesteps()) {
-      queries.push_back(BatchQuery{region, t});
-    }
-  }
   for (QueryStrategy strategy :
        {QueryStrategy::kDirect, QueryStrategy::kUnion,
         QueryStrategy::kUnionSubtraction}) {
-    const auto legacy = fx.server().BatchPredict(queries, strategy);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto plan = fx.planner().Plan(QuerySpec::PointInTime(
-          queries[i].region, queries[i].t, strategy));
-      ASSERT_TRUE(plan.ok());
-      const QueryResult result = fx.executor().Execute(*plan);
-      ASSERT_EQ(result.rows.size(), 1u);
-      ASSERT_TRUE(legacy[i].ok());
-      ASSERT_TRUE(result.rows[0].ok())
-          << result.rows[0].status().ToString();
-      // Bit-exact: the executor gathers the same floats in the same
-      // order as the legacy path.
-      EXPECT_EQ(result.rows[0]->value, legacy[i]->value)
-          << QueryStrategyName(strategy) << " query " << i;
-      EXPECT_EQ(result.rows[0]->num_pieces, legacy[i]->num_pieces);
-      EXPECT_EQ(result.rows[0]->num_terms, legacy[i]->num_terms);
+    for (const GridMask& region : regions) {
+      auto resolved = fx.server().Resolve(region, strategy);
+      ASSERT_TRUE(resolved.ok());
+      for (int64_t t : fx.pipeline->test_timesteps()) {
+        auto direct = fx.server().TryEvaluateTerms(resolved->terms, t);
+        ASSERT_TRUE(direct.ok());
+        auto plan =
+            fx.planner().Plan(QuerySpec::PointInTime(region, t, strategy));
+        ASSERT_TRUE(plan.ok());
+        const QueryResult result = fx.executor().Execute(*plan);
+        ASSERT_EQ(result.rows.size(), 1u);
+        ASSERT_TRUE(result.rows[0].ok())
+            << result.rows[0].status().ToString();
+        const QueryRow& row = *result.rows[0];
+        // Bit-exact: the executor gathers the same floats in the same
+        // term order as the primitive evaluation.
+        EXPECT_EQ(row.value, *direct) << QueryStrategyName(strategy);
+        EXPECT_EQ(row.num_pieces, resolved->num_pieces);
+        EXPECT_EQ(row.num_terms, static_cast<int>(resolved->terms.size()));
+        EXPECT_GE(row.eval_micros, 0.0);
+        // The paper's response time excludes evaluation.
+        EXPECT_NEAR(row.response_micros,
+                    row.decompose_micros + row.index_micros, 1e-9);
+      }
     }
   }
-}
-
-TEST(QueryExecutorTest, LegacyPredictStillMatchesEvaluateTerms) {
-  // Predict is now a shim over the planner/executor; pin it to the
-  // primitive Resolve + TryEvaluateTerms composition.
-  SpecFixture fx;
-  const GridMask region = RandomMask(8, 8, 1234, 400);
-  const int64_t t = fx.pipeline->test_timesteps()[0];
-  auto response =
-      fx.server().Predict(region, t, QueryStrategy::kUnionSubtraction);
-  ASSERT_TRUE(response.ok());
-  auto resolved =
-      fx.server().Resolve(region, QueryStrategy::kUnionSubtraction);
-  ASSERT_TRUE(resolved.ok());
-  auto direct = fx.server().TryEvaluateTerms(resolved->terms, t);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(response->value, *direct);
-  EXPECT_EQ(response->num_terms,
-            static_cast<int>(resolved->terms.size()));
-  EXPECT_GE(response->eval_micros, 0.0);
-  // The paper's response time still excludes evaluation.
-  EXPECT_NEAR(response->response_micros,
-              response->decompose_micros + response->index_micros, 1e-9);
 }
 
 TEST(QueryExecutorTest, TimeRangeAggregationsMatchPointQueries) {
@@ -263,8 +222,7 @@ TEST(QueryExecutorTest, TimeRangeAggregationsMatchPointQueries) {
 
   std::vector<double> point_values;
   for (int64_t t = t0; t <= t1; ++t) {
-    auto response =
-        fx.server().Predict(region, t, QueryStrategy::kUnionSubtraction);
+    auto response = fx.Point(region, t);
     ASSERT_TRUE(response.ok());
     point_values.push_back(response->value);
   }
@@ -325,8 +283,7 @@ TEST(QueryExecutorTest, MultiRegionSharesCacheProbesAcrossDuplicates) {
   // Every row matches its region's point query, duplicates included.
   for (size_t i = 0; i < group.size(); ++i) {
     ASSERT_TRUE(result.rows[i].ok());
-    auto reference =
-        fx.server().Predict(group[i], t, QueryStrategy::kUnionSubtraction);
+    auto reference = fx.Point(group[i], t);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(result.rows[i]->value, reference->value) << "row " << i;
   }
@@ -483,9 +440,6 @@ TEST(ServingRuntimeSpecTest, ExecutesEveryShapeAndCountsKinds) {
   ASSERT_TRUE(point.ok());
   ASSERT_TRUE(point->rows[0].ok())
       << point->rows[0].status().ToString();
-  auto legacy = runtime.Query(fx.regions[0], start);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(point->rows[0]->value, legacy->value);
 
   auto range = runtime.ExecuteSpec(QuerySpec::TimeRange(
       fx.regions[0], start, start + 3, TimeAggregation::kMean));
@@ -510,10 +464,9 @@ TEST(ServingRuntimeSpecTest, ExecutesEveryShapeAndCountsKinds) {
   EXPECT_EQ(kind_count(QuerySpecKind::kTimeRange), 1);
   EXPECT_EQ(kind_count(QuerySpecKind::kMultiRegion), 1);
   EXPECT_EQ(kind_count(QuerySpecKind::kTopK), 1);
-  EXPECT_EQ(kind_count(QuerySpecKind::kPointBatch), 1);  // Query() above
-  // served = 1 point + 1 range + 6 multi + 6 topk + 1 legacy.
+  // served = 1 point + 1 range + 6 multi + 6 topk.
   EXPECT_EQ(snapshot.queries_served,
-            2 + 2 * static_cast<int64_t>(fx.regions.size()) + 1);
+            2 + 2 * static_cast<int64_t>(fx.regions.size()));
   EXPECT_GT(snapshot.query_success_rate(), 0.99);
 }
 

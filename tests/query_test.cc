@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "eval/task_eval.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "test_util.h"
 
 namespace one4all {
@@ -23,6 +25,15 @@ struct QueryFixture {
       : ds(TinyDataset(seed)) {
     OraclePredictor oracle(std::move(noise), seed + 1);
     pipeline = MauPipeline::Build(&oracle, ds, SearchOptions{});
+  }
+
+  /// \brief One uncached point spec, planned and run on this thread.
+  Result<QueryRow> Point(const GridMask& region, int64_t t,
+                         QueryStrategy strategy) const {
+    auto plan = QueryPlanner(&ds.hierarchy())
+                    .Plan(QuerySpec::PointInTime(region, t, strategy));
+    if (!plan.ok()) return plan.status();
+    return QueryExecutor(&pipeline->server()).Execute(*plan).rows[0];
   }
 };
 
@@ -49,7 +60,7 @@ TEST(QueryServerTest, PerfectPredictionsAnswerExactly) {
          {QueryStrategy::kDirect, QueryStrategy::kUnion,
           QueryStrategy::kUnionSubtraction}) {
       for (int64_t t : fx.pipeline->test_timesteps()) {
-        auto response = fx.pipeline->server().Predict(region, t, strategy);
+        auto response = fx.Point(region, t, strategy);
         ASSERT_TRUE(response.ok());
         EXPECT_NEAR(response->value, RegionTruth(fx.ds, region, t), 1e-2)
             << QueryStrategyName(strategy);
@@ -92,8 +103,8 @@ TEST(QueryServerTest, ResponseCarriesTimingBreakdown) {
   QueryFixture fx;
   GridMask region(8, 8);
   region.FillRect(1, 1, 6, 7);
-  auto response = fx.pipeline->server().Predict(
-      region, fx.pipeline->test_timesteps()[0], QueryStrategy::kUnion);
+  auto response = fx.Point(region, fx.pipeline->test_timesteps()[0],
+                           QueryStrategy::kUnion);
   ASSERT_TRUE(response.ok());
   EXPECT_GT(response->num_pieces, 0);
   EXPECT_GT(response->num_terms, 0);

@@ -115,6 +115,19 @@ TEST(ScenarioSpecTest, UnknownKeyIsRejectedWithItsLine) {
   const std::string message = spec.status().ToString();
   EXPECT_NE(message.find("timestpes"), std::string::npos) << message;
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+
+  // The retired point-batch shape is no longer a mix key.
+  auto retired = ParseScenarioSpec(R"({
+  "name": "old_mix",
+  "mix": {"point": 0.9,
+          "point_batch": 0.1}
+})");
+  ASSERT_FALSE(retired.ok());
+  const std::string retired_message = retired.status().ToString();
+  EXPECT_NE(retired_message.find("point_batch"), std::string::npos)
+      << retired_message;
+  EXPECT_NE(retired_message.find("line 4"), std::string::npos)
+      << retired_message;
 }
 
 TEST(ScenarioSpecTest, WrongTypeIsRejectedWithItsLine) {

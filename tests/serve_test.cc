@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -13,11 +14,22 @@
 #include "eval/task_eval.h"
 #include "model/baselines_simple.h"
 #include "model/one4all_net.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "serve/serving_runtime.h"
 #include "test_util.h"
 
 namespace one4all {
 namespace {
+
+/// \brief One point spec through the runtime: the spec's own failure
+/// (e.g. admission) or its single row.
+Result<QueryRow> QueryPoint(ServingRuntime* runtime, const GridMask& region,
+                            int64_t t) {
+  auto result = runtime->ExecuteSpec(QuerySpec::PointInTime(region, t));
+  if (!result.ok()) return result.status();
+  return std::move(result->rows[0]);
+}
 
 // Small serving fixture: a 16x16 raster with a short temporal spec so
 // history windows fit in a few dozen timesteps, plus an offline-built
@@ -228,28 +240,27 @@ TEST(FrameEpochManagerTest, HammerReadersNeverObserveTornEpochs) {
     writer_done.store(true);
   });
 
+  auto plan = QueryPlanner(&hierarchy)
+                  .Plan(QuerySpec::MultiRegion(fixture.regions, 0));
+  ASSERT_TRUE(plan.ok());
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      std::vector<BatchQuery> batch;
-      for (const GridMask& region : fixture.regions) {
-        batch.push_back(BatchQuery{region, 0});
-      }
       int rounds = 0;
       while (!writer_done.load() || rounds < 5) {
         ++rounds;
         EpochGuard guard = epochs.Pin();
-        BatchOptions options;
-        options.num_threads = 1;
+        QueryExecutorOptions options;
         options.generation = guard.generation();
-        const auto results = server.BatchPredict(
-            batch, QueryStrategy::kUnionSubtraction, options);
+        const QueryResult result =
+            QueryExecutor(&server).Execute(*plan, options);
         const double marker = static_cast<double>(guard.generation());
-        for (size_t i = 0; i < results.size(); ++i) {
-          ASSERT_TRUE(results[i].ok())
-              << "reader " << r << ": " << results[i].status().ToString();
+        for (size_t i = 0; i < result.rows.size(); ++i) {
+          ASSERT_TRUE(result.rows[i].ok())
+              << "reader " << r << ": "
+              << result.rows[i].status().ToString();
           const double expected = region_cells[i] * marker;
-          if (std::abs(results[i].ValueOrDie().value - expected) >
+          if (std::abs(result.rows[i]->value - expected) >
               1e-3 * (1.0 + std::abs(expected))) {
             torn_reads.fetch_add(1);
           }
@@ -357,13 +368,13 @@ TEST(StreamIngestorTest, PublishesEveryConfiguredTimestep) {
             5 * fixture.dataset->hierarchy().num_layers());
 
   // Carry-forward keeps the whole published window queryable...
-  auto early = runtime.Query(fixture.regions[0], start);
+  auto early = QueryPoint(&runtime, fixture.regions[0], start);
   ASSERT_TRUE(early.ok());
-  auto latest = runtime.Query(fixture.regions[0], start + 4);
+  auto latest = QueryPoint(&runtime, fixture.regions[0], start + 4);
   ASSERT_TRUE(latest.ok());
   // ...while a timestep beyond the stream degrades to NotFound instead
   // of aborting the process.
-  auto beyond = runtime.Query(fixture.regions[0], start + 5);
+  auto beyond = QueryPoint(&runtime, fixture.regions[0], start + 5);
   EXPECT_EQ(beyond.status().code(), StatusCode::kNotFound);
 }
 
@@ -376,14 +387,13 @@ TEST(ServingRuntimeTest, AdmissionControlRejectsOverload) {
                          MakeGroundTruthInference(fixture.dataset.get()),
                          options);
 
-  std::vector<BatchQuery> oversized(
-      8, BatchQuery{fixture.regions[0], options.ingest.start_t});
-  auto rejected = runtime.QueryBatch(oversized);
+  // Admission counts gather points, duplicate regions included.
+  auto rejected = runtime.ExecuteSpec(QuerySpec::MultiRegion(
+      std::vector<GridMask>(8, fixture.regions[0]), options.ingest.start_t));
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
-  std::vector<BatchQuery> admitted(
-      2, BatchQuery{fixture.regions[0], options.ingest.start_t});
-  auto accepted = runtime.QueryBatch(admitted);
+  auto accepted = runtime.ExecuteSpec(QuerySpec::MultiRegion(
+      std::vector<GridMask>(2, fixture.regions[0]), options.ingest.start_t));
   EXPECT_TRUE(accepted.ok());
 
   const auto snapshot = runtime.Telemetry();
@@ -392,8 +402,8 @@ TEST(ServingRuntimeTest, AdmissionControlRejectsOverload) {
   EXPECT_EQ(snapshot.batches_admitted, 1);
 }
 
-// The serving hammer of the issue: concurrent readers issue BatchPredict
-// storms while the ingestor publishes epochs in a loop; every answered
+// The serving hammer: concurrent readers fire multi-region spec storms
+// while the ingestor publishes epochs in a loop; every answered
 // query must be internally consistent (with ground-truth inference and
 // exact-cover combinations, value == region truth for that timestep),
 // and the concurrent totals must match a sequential replay.
@@ -432,31 +442,37 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
         ++rounds;
         // Query any timestep the currently published epoch serves.
         const int64_t latest = runtime.epochs().published_latest_t();
-        std::vector<BatchQuery> batch;
-        std::vector<size_t> batch_regions;
+        // 8 random (region, t) draws; each timestep's regions form one
+        // multi-region spec.
+        std::map<int64_t, std::vector<size_t>> picks_by_t;
         for (int i = 0; i < 8; ++i) {
           const size_t region = static_cast<size_t>(
               rng.UniformInt(fixture.regions.size()));
           const int64_t span = latest - start + 1;
           const int64_t t = start + static_cast<int64_t>(
               rng.UniformInt(static_cast<uint64_t>(span)));
-          batch.push_back(BatchQuery{fixture.regions[region], t});
-          batch_regions.push_back(region);
+          picks_by_t[t].push_back(region);
         }
-        auto results = runtime.QueryBatch(batch);
-        ASSERT_TRUE(results.ok());
-        for (size_t i = 0; i < results->size(); ++i) {
-          const auto& result = (*results)[i];
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          const double truth =
-              RegionTruth(dataset, batch[i].region, batch[i].t);
-          if (std::abs(result.ValueOrDie().value - truth) >
-              1e-3 * (1.0 + std::abs(truth))) {
-            inconsistent.fetch_add(1);
+        for (const auto& [t, picks] : picks_by_t) {
+          std::vector<GridMask> group;
+          for (const size_t region : picks) {
+            group.push_back(fixture.regions[region]);
           }
-          logs[static_cast<size_t>(c)].push_back(LoggedQuery{
-              batch_regions[i], batch[i].t,
-              result.ValueOrDie().value});
+          auto result =
+              runtime.ExecuteSpec(QuerySpec::MultiRegion(std::move(group), t));
+          ASSERT_TRUE(result.ok());
+          for (size_t i = 0; i < picks.size(); ++i) {
+            const Result<QueryRow>& row = result->rows[i];
+            ASSERT_TRUE(row.ok()) << row.status().ToString();
+            const double truth =
+                RegionTruth(dataset, fixture.regions[picks[i]], t);
+            if (std::abs(row->value - truth) >
+                1e-3 * (1.0 + std::abs(truth))) {
+              inconsistent.fetch_add(1);
+            }
+            logs[static_cast<size_t>(c)].push_back(
+                LoggedQuery{picks[i], t, row->value});
+          }
         }
       }
     });
@@ -473,9 +489,9 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
   int64_t replayed = 0;
   for (const auto& log : logs) {
     for (const LoggedQuery& q : log) {
-      auto replay = runtime.Query(fixture.regions[q.region], q.t);
+      auto replay = QueryPoint(&runtime, fixture.regions[q.region], q.t);
       ASSERT_TRUE(replay.ok());
-      EXPECT_NEAR(replay.ValueOrDie().value, q.value,
+      EXPECT_NEAR(replay->value, q.value,
                   1e-9 * (1.0 + std::abs(q.value)));
       ++replayed;
     }

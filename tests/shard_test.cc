@@ -496,21 +496,21 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
       ExpectBitExactRows(*st, *ht, "topk");
     }
 
-    // Legacy batch surface parity.
-    std::vector<BatchQuery> batch;
-    for (const GridMask& region : fixture.regions) {
-      batch.push_back(BatchQuery{region, t0 + 3});
-    }
-    auto sb = single->QueryBatch(batch);
-    auto hb = sharded->QueryBatch(batch);
-    ASSERT_TRUE(sb.ok() && hb.ok());
-    ASSERT_EQ(sb->size(), hb->size());
-    for (size_t i = 0; i < sb->size(); ++i) {
-      ASSERT_EQ((*sb)[i].ok(), (*hb)[i].ok()) << "batch row " << i;
-      if ((*sb)[i].ok()) {
-        EXPECT_EQ((*sb)[i]->value, (*hb)[i]->value) << "batch row " << i;
-        EXPECT_EQ((*sb)[i]->num_terms, (*hb)[i]->num_terms);
-      }
+    // Failure parity: a timestep past the served window fails every row
+    // on both topologies, with the same status.
+    const int64_t beyond = fixture.dataset->test_indices().back() + 1;
+    auto sf = single->ExecuteSpec(
+        QuerySpec::MultiRegion(fixture.regions, beyond));
+    auto hf = sharded->ExecuteSpec(
+        QuerySpec::MultiRegion(fixture.regions, beyond));
+    ASSERT_TRUE(sf.ok() && hf.ok());
+    ASSERT_EQ(sf->rows.size(), hf->rows.size());
+    for (size_t i = 0; i < sf->rows.size(); ++i) {
+      ASSERT_FALSE(sf->rows[i].ok()) << "row " << i;
+      ASSERT_FALSE(hf->rows[i].ok()) << "row " << i;
+      EXPECT_EQ(sf->rows[i].status().code(), StatusCode::kNotFound);
+      EXPECT_EQ(hf->rows[i].status().ToString(),
+                sf->rows[i].status().ToString());
     }
 
     EXPECT_TRUE(sharded->CrossShardConsistent());

@@ -1,20 +1,25 @@
 // Tests for the tiled two-level SAT substrate (src/tensor/tiled_sat):
 // the dirty-tile set semantics, copy-on-write tiled frames, and — the
 // load-bearing property — that the tiled plane's prefix reads and rect
-// sums are bit-identical to the monolithic SatPlane whether the plane
-// was built from scratch or incrementally from a dirty set.
+// sums are bit-identical to the flat reference plane (sat_oracle.h)
+// whether the plane was built from scratch or incrementally from a dirty
+// set.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/rng.h"
-#include "tensor/prefix_sum.h"
+#include "sat_oracle.h"
 #include "tensor/tensor.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
 namespace {
+
+using testing::BuildSatPlane;
+using testing::MaterializeSatPlane;
+using testing::SatPlane;
 
 Tensor RandomFrame(int64_t h, int64_t w, uint64_t seed) {
   Rng rng(seed);
@@ -151,7 +156,7 @@ TEST(TiledSatPlaneTest, BuildMatchesMonolithicBitForBit) {
     const SatPlane flat = BuildSatPlane(frame);
     ExpectBitIdentical(tiled, flat, g[0], g[1]);
     // Materialize round-trips into a bit-identical monolithic plane.
-    const SatPlane materialized = tiled.Materialize();
+    const SatPlane materialized = MaterializeSatPlane(tiled);
     ASSERT_EQ(materialized.numel(), flat.numel());
     for (int64_t i = 0; i < flat.numel(); ++i) {
       ASSERT_EQ(materialized.data()[i], flat.data()[i]);
@@ -207,7 +212,7 @@ TEST(TiledSatPlaneTest, BuildDeltaBitIdenticalToFullRebuild) {
         TiledSatPlane::BuildDelta(next_tiled, base_plane, dirty, &reused);
     const TiledSatPlane full =
         TiledSatPlane::Build(TiledFrame::FromTensor(next));
-    ExpectBitIdentical(delta, full.Materialize(), h, w);
+    ExpectBitIdentical(delta, MaterializeSatPlane(full), h, w);
 
     // Clean locals were aliased, dirty ones rebuilt.
     EXPECT_EQ(reused, dirty.num_tiles() - dirty.CountDirty());
@@ -232,7 +237,7 @@ TEST(TiledSatPlaneTest, NoOpDeltaReusesEveryTile) {
   const TiledSatPlane delta =
       TiledSatPlane::BuildDelta(tiled, base, clean, &reused);
   EXPECT_EQ(reused, clean.num_tiles());
-  ExpectBitIdentical(delta, base.Materialize(), 96, 64);
+  ExpectBitIdentical(delta, MaterializeSatPlane(base), 96, 64);
 }
 
 }  // namespace

@@ -37,9 +37,10 @@
 // `serve` runs the online loop end-to-end: a background ingestor replays
 // N timesteps (model inference when --model is given, ground-truth
 // aggregation otherwise), publishing each as an atomic epoch, while
-// client threads fire a storm of mixed query shapes (legacy batches,
-// time-range, multi-region and top-k specs) at the runtime; finishes by
-// printing the serving telemetry block with per-spec-kind counts.
+// client threads fire a storm of mixed query shapes (rounds of `--batch`
+// point specs, time-range, multi-region and top-k specs) at the runtime;
+// finishes by printing the serving telemetry block with per-spec-kind
+// counts.
 // `--report-ms N` additionally prints a periodic delta line (per-interval
 // QPS, publish rate, rejects, trace-ring drops) while the storm runs;
 // `--metrics-out` writes the final Prometheus exposition and
@@ -553,7 +554,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   options.ingest.min_publish_interval_ms = flags.GetInt("publish-ms", 20);
   options.retain_timesteps = flags.GetInt("retain", 0);
   options.num_query_threads = 1;
-  options.strategy = ParseStrategy(flags);
+  const QueryStrategy strategy = ParseStrategy(flags);
   options.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   FrameInference inference =
       net != nullptr ? MakeOne4AllInference(net.get(), dataset.operator->())
@@ -629,9 +630,8 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   for (int c = 0; c < clients; ++c) {
     storm.emplace_back([&, c] {
       Rng rng(static_cast<uint64_t>(7 + c));
-      const QueryStrategy strategy = runtime.options().strategy;
-      // Mixed-shape storm: legacy point batches plus each composable
-      // spec shape, so the per-spec-kind telemetry below sees traffic.
+      // Mixed-shape storm: rounds of point specs plus each other spec
+      // shape, so the per-spec-kind telemetry below sees traffic.
       int shape = c;
       while (!runtime.ingestor().done()) {
         const int64_t latest = runtime.published_latest_t();
@@ -648,11 +648,10 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
         // runtime's telemetry, rendered below.
         switch (shape++ % 4) {
           case 0: {
-            std::vector<BatchQuery> batch;
             for (int i = 0; i < batch_size; ++i) {
-              batch.push_back(BatchQuery{random_region(), random_t()});
+              (void)runtime.ExecuteSpec(QuerySpec::PointInTime(
+                  random_region(), random_t(), strategy));
             }
-            (void)runtime.QueryBatch(batch);
             break;
           }
           case 1: {
@@ -692,7 +691,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
 
   std::cout << "served " << options.ingest.num_timesteps
             << " timesteps under a " << clients << "-client storm ("
-            << regions.size() << " distinct regions, batches of "
+            << regions.size() << " distinct regions, point rounds of "
             << batch_size << ")\n";
   if (runtime.sharded()) {
     std::cout << "shard topology: " << runtime.num_shards()
