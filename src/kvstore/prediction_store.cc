@@ -1,6 +1,6 @@
 #include "kvstore/prediction_store.h"
 
-#include <climits>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -35,12 +35,143 @@ Status PredictionStore::WriteFault() const {
   return fault_;
 }
 
-bool PredictionStore::SnapshotEntry(const Key& key, Entry* out) const {
+// -- Tables, slabs and views -------------------------------------------------
+
+std::vector<PredictionStore::SlabRef>::const_iterator
+PredictionStore::Table::LowerBound(int64_t t) const {
+  return std::lower_bound(
+      slabs.begin(), slabs.end(), t,
+      [](const SlabRef& ref, int64_t key) { return ref.first < key; });
+}
+
+std::vector<PredictionStore::SlabRef>::iterator
+PredictionStore::Table::LowerBound(int64_t t) {
+  return slabs.begin() + (std::as_const(*this).LowerBound(t) - slabs.cbegin());
+}
+
+const PredictionStore::Slab* PredictionStore::Table::Find(int64_t t) const {
+  if (slabs.empty()) return nullptr;
+  // A generation's timesteps are almost always contiguous, so the slab
+  // usually sits at its offset from the first; search otherwise.
+  const int64_t guess = t - slabs.front().first;
+  if (guess >= 0 && guess < static_cast<int64_t>(slabs.size()) &&
+      slabs[static_cast<size_t>(guess)].first == t) {
+    return slabs[static_cast<size_t>(guess)].second.get();
+  }
+  auto it = LowerBound(t);
+  return it != slabs.end() && it->first == t ? it->second.get() : nullptr;
+}
+
+const PredictionStore::Entry* PredictionStore::EntryIn(const Slab* slab,
+                                                       int layer) {
+  if (slab == nullptr || layer < 0 ||
+      static_cast<size_t>(layer) >= slab->layers.size()) {
+    return nullptr;
+  }
+  const Entry& entry = slab->layers[static_cast<size_t>(layer)];
+  return entry.frame != nullptr ? &entry : nullptr;
+}
+
+PredictionStore::View& PredictionStore::View::operator=(
+    View&& other) noexcept {
+  if (this != &other) {
+    Release();
+    store_ = other.store_;
+    table_ = std::move(other.table_);
+  }
+  return *this;
+}
+
+void PredictionStore::View::Release() {
+  if (table_ == nullptr) return;
+  // Under the shared lock: a writer that next finds this table (or one
+  // of its slabs) unshared takes the exclusive lock after this release,
+  // which orders every read made through the View before its in-place
+  // write. The last View of an unlinked table destroys it here.
+  std::shared_lock<std::shared_mutex> lock(store_->mu_);
+  table_.reset();
+}
+
+Result<const TiledFrame*> PredictionStore::View::FrameAt(int layer,
+                                                         int64_t t) const {
+  const Entry* entry =
+      table_ == nullptr ? nullptr : EntryIn(table_->Find(t), layer);
+  if (entry == nullptr) return Status::NotFound("no prediction frame for key");
+  return entry->frame.get();
+}
+
+const TiledSatPlane* PredictionStore::View::PlaneAt(int layer,
+                                                    int64_t t) const {
+  const Entry* entry =
+      table_ == nullptr ? nullptr : EntryIn(table_->Find(t), layer);
+  return entry == nullptr ? nullptr : entry->plane.get();
+}
+
+PredictionStore::View PredictionStore::ViewAt(int64_t generation) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  *out = it->second;
+  auto it = generations_.find(generation);
+  if (it == generations_.end()) return View();
+  return View(this, it->second);
+}
+
+const PredictionStore::Entry* PredictionStore::FindEntryLocked(
+    int64_t generation, int layer, int64_t t) const {
+  auto it = generations_.find(generation);
+  if (it == generations_.end()) return nullptr;
+  return EntryIn(it->second->Find(t), layer);
+}
+
+bool PredictionStore::SnapshotEntry(int64_t generation, int layer, int64_t t,
+                                    Entry* out) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const Entry* entry = FindEntryLocked(generation, layer, t);
+  if (entry == nullptr) return false;
+  *out = *entry;
   return true;
+}
+
+PredictionStore::Table& PredictionStore::MutableTableLocked(
+    int64_t generation) {
+  std::shared_ptr<Table>& table = generations_[generation];
+  if (table == nullptr) {
+    table = std::make_shared<Table>();
+  } else if (table.use_count() > 1) {
+    // A View holds it: write a clone, which shares every slab with the
+    // viewed table (so the slab about to change gets cloned too).
+    table = std::make_shared<Table>(*table);
+  }
+  return *table;
+}
+
+PredictionStore::Slab& PredictionStore::MutableSlabLocked(Table& table,
+                                                          int64_t t) {
+  auto it = table.LowerBound(t);
+  if (it == table.slabs.end() || it->first != t) {
+    it = table.slabs.insert(it, SlabRef{t, std::make_shared<Slab>()});
+  } else if (it->second.use_count() > 1) {
+    // Another generation carries this timestep: copy its entries
+    // (pointers only) so the write stays private to this generation.
+    it->second = std::make_shared<Slab>(*it->second);
+  }
+  return *it->second;
+}
+
+PredictionStore::Entry& PredictionStore::MutableEntryLocked(
+    int64_t generation, int layer, int64_t t) {
+  O4A_CHECK_GE(layer, 0);
+  Slab& slab = MutableSlabLocked(MutableTableLocked(generation), t);
+  if (static_cast<size_t>(layer) >= slab.layers.size()) {
+    slab.layers.resize(static_cast<size_t>(layer) + 1);
+  }
+  return slab.layers[static_cast<size_t>(layer)];
+}
+
+int64_t PredictionStore::CountSlab(const Slab& slab) {
+  int64_t count = 0;
+  for (const Entry& entry : slab.layers) {
+    if (entry.frame != nullptr) count += 1 + (entry.plane != nullptr ? 1 : 0);
+  }
+  return count;
 }
 
 void PredictionStore::SyncFrameAt(int64_t generation, int layer, int64_t t,
@@ -57,7 +188,7 @@ Status PredictionStore::TrySyncFrameAt(int64_t generation, int layer,
   // Tiling happens outside the lock; the map mutation is a pointer swap.
   auto tiled = std::make_shared<const TiledFrame>(TiledFrame::FromTensor(frame));
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[Key{generation, layer, t}];
+  Entry& entry = MutableEntryLocked(generation, layer, t);
   entry.frame = std::move(tiled);
   // A frame write invalidates its derived plane: without this, a writer
   // that overwrites a carried-forward frame (e.g. a re-staged timestep
@@ -77,9 +208,7 @@ Status PredictionStore::TrySyncFrameDeltaAt(int64_t generation, int layer,
   O4A_RETURN_NOT_OK(WriteFault());
   O4A_CHECK_EQ(frame.ndim(), 2u);
   Entry base;
-  const bool have_base =
-      SnapshotEntry(Key{generation, layer, base_t}, &base) &&
-      base.frame != nullptr;
+  const bool have_base = SnapshotEntry(generation, layer, base_t, &base);
   int64_t shared = 0;
   auto tiled = std::make_shared<const TiledFrame>(
       have_base ? TiledFrame::FromDelta(frame, *base.frame, dirty, &shared)
@@ -92,7 +221,7 @@ Status PredictionStore::TrySyncFrameDeltaAt(int64_t generation, int layer,
                       ? std::shared_ptr<const TileDirtySet>()
                       : std::make_shared<const TileDirtySet>(dirty);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[Key{generation, layer, t}];
+  Entry& entry = MutableEntryLocked(generation, layer, t);
   entry.frame = std::move(tiled);
   entry.plane.reset();
   entry.dirty = std::move(recorded);
@@ -113,7 +242,7 @@ Result<Tensor> PredictionStore::GetFrameAt(int64_t generation, int layer,
 Result<std::shared_ptr<const TiledFrame>> PredictionStore::GetTiledFrameAt(
     int64_t generation, int layer, int64_t t) const {
   std::shared_ptr<const TiledFrame> frame =
-      SnapshotField(Key{generation, layer, t}, &Entry::frame);
+      SnapshotField(generation, layer, t, &Entry::frame);
   if (frame == nullptr) {
     return Status::NotFound("no prediction frame for key");
   }
@@ -124,7 +253,7 @@ Result<std::shared_ptr<const TiledSatPlane>>
 PredictionStore::GetTiledSatPlaneAt(int64_t generation, int layer,
                                     int64_t t) const {
   std::shared_ptr<const TiledSatPlane> plane =
-      SnapshotField(Key{generation, layer, t}, &Entry::plane);
+      SnapshotField(generation, layer, t, &Entry::plane);
   if (plane == nullptr) {
     return Status::NotFound("no summed-area plane for key");
   }
@@ -133,7 +262,7 @@ PredictionStore::GetTiledSatPlaneAt(int64_t generation, int layer,
 
 std::shared_ptr<const TileDirtySet> PredictionStore::GetDirtyAt(
     int64_t generation, int layer, int64_t t) const {
-  return SnapshotField(Key{generation, layer, t}, &Entry::dirty);
+  return SnapshotField(generation, layer, t, &Entry::dirty);
 }
 
 float PredictionStore::GetValue(int layer, int64_t t, int64_t row,
@@ -168,15 +297,7 @@ Status PredictionStore::TryBuildSatPlaneAt(int64_t generation, int layer,
                        GetTiledFrameAt(generation, layer, t));
   auto plane = std::make_shared<const TiledSatPlane>(
       TiledSatPlane::Build(*frame, pool));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  // The frame could have been dropped or overwritten while we built
-  // outside the lock; attaching a stale plane to a fresh frame would
-  // hand the fast path wrong sums, so only publish onto the same frame.
-  if (it == entries_.end() || it->second.frame != frame) {
-    return Status::OK();
-  }
-  it->second.plane = std::move(plane);
+  InstallPlane(generation, layer, t, *frame, std::move(plane));
   return Status::OK();
 }
 
@@ -186,14 +307,12 @@ Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
                                                 StageStats* stats) {
   O4A_RETURN_NOT_OK(WriteFault());
   Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.frame == nullptr) {
+  if (!SnapshotEntry(generation, layer, t, &entry)) {
     return Status::NotFound("no prediction frame for key");
   }
   Entry base;
-  const bool have_base =
-      SnapshotEntry(Key{generation, layer, base_t}, &base) &&
-      base.plane != nullptr;
+  const bool have_base = SnapshotEntry(generation, layer, base_t, &base) &&
+                         base.plane != nullptr;
   int64_t reused = 0;
   auto plane = std::make_shared<const TiledSatPlane>(
       have_base && entry.dirty != nullptr
@@ -201,39 +320,51 @@ Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
                                       *entry.dirty, &reused, pool)
           : TiledSatPlane::Build(*entry.frame, pool));
   if (stats != nullptr) stats->plane_tiles_reused = reused;
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  if (it == entries_.end() || it->second.frame != entry.frame) {
-    return Status::OK();
-  }
-  it->second.plane = std::move(plane);
+  InstallPlane(generation, layer, t, *entry.frame, std::move(plane));
   return Status::OK();
+}
+
+void PredictionStore::InstallPlane(int64_t generation, int layer, int64_t t,
+                                   const TiledFrame& frame,
+                                   std::shared_ptr<const TiledSatPlane> plane) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  // The frame could have been dropped or overwritten while the plane was
+  // built outside the lock; attaching a stale plane to a fresh frame
+  // would hand the fast path wrong sums, so only publish onto the same
+  // frame (checked before anything is cloned for the write).
+  const Entry* current = FindEntryLocked(generation, layer, t);
+  if (current == nullptr || current->frame.get() != &frame) return;
+  MutableEntryLocked(generation, layer, t).plane = std::move(plane);
 }
 
 bool PredictionStore::HasSatPlaneAt(int64_t generation, int layer,
                                     int64_t t) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  return it != entries_.end() && it->second.plane != nullptr;
+  const Entry* entry = FindEntryLocked(generation, layer, t);
+  return entry != nullptr && entry->plane != nullptr;
 }
 
 int64_t PredictionStore::BuildSatPlanes(int64_t generation,
                                         ThreadPool* pool) {
   // Snapshot the generation's keys first: building happens outside the
-  // lock and must not iterate a mutating map.
-  std::vector<Key> keys;
+  // lock, against a table that may change meanwhile.
+  std::vector<std::pair<int, int64_t>> keys;  // (layer, t)
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-         it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-      keys.push_back(it->first);
+    auto it = generations_.find(generation);
+    if (it != generations_.end()) {
+      for (const SlabRef& ref : it->second->slabs) {
+        for (size_t layer = 0; layer < ref.second->layers.size(); ++layer) {
+          if (ref.second->layers[layer].frame != nullptr) {
+            keys.emplace_back(static_cast<int>(layer), ref.first);
+          }
+        }
+      }
     }
   }
   int64_t built = 0;
-  for (const Key& key : keys) {
-    const Status status =
-        TryBuildSatPlaneAt(generation, std::get<1>(key), std::get<2>(key),
-                           pool);
+  for (const auto& [layer, t] : keys) {
+    const Status status = TryBuildSatPlaneAt(generation, layer, t, pool);
     O4A_CHECK(status.ok()) << status.ToString();
     ++built;
   }
@@ -247,83 +378,114 @@ bool PredictionStore::HasFrame(int layer, int64_t t) const {
 bool PredictionStore::HasFrameAt(int64_t generation, int layer,
                                  int64_t t) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  return it != entries_.end() && it->second.frame != nullptr;
+  return FindEntryLocked(generation, layer, t) != nullptr;
 }
 
 int64_t PredictionStore::CopyGeneration(int64_t from, int64_t to,
                                         int64_t min_t) {
   O4A_CHECK(from != to);
-  // One ordered pass under the exclusive lock. Source and target keys
-  // both ascend, so every insert lands right before its hint — O(1)
-  // each, no tree search per entry — and map inserts never invalidate
-  // the source iterator. On a 64-timestep, 6-layer window (4-vCPU VM)
-  // this takes ~29 us where snapshotting under the shared lock and then
-  // inserting by key took ~71 us; this copy is on every publish.
+  // Slabs are shared, not copied: into an empty target this is one
+  // pointer copy per carried timestep. A slab the target writes later is
+  // cloned then (MutableSlabLocked), so the source never sees the write.
   std::unique_lock<std::shared_mutex> lock(mu_);
+  auto src = generations_.find(from);
+  if (src == generations_.end()) return 0;
+  const Table& source = *src->second;
+  auto first = source.LowerBound(min_t);
   int64_t copied = 0;
-  auto hint = entries_.lower_bound(Key{to, INT_MIN, INT64_MIN});
-  for (auto it = entries_.lower_bound(Key{from, INT_MIN, INT64_MIN});
-       it != entries_.end() && std::get<0>(it->first) == from; ++it) {
-    if (std::get<2>(it->first) < min_t) continue;
-    copied += 1 + (it->second.plane != nullptr ? 1 : 0);
-    hint = std::next(entries_.insert_or_assign(
-        hint, Key{to, std::get<1>(it->first), std::get<2>(it->first)},
-        it->second));
+  for (auto it = first; it != source.slabs.end(); ++it) {
+    copied += CountSlab(*it->second);
+  }
+  std::shared_ptr<Table>& target = generations_[to];
+  if (target == nullptr || target->slabs.empty()) {
+    target = std::make_shared<Table>();
+    target->slabs.assign(first, source.slabs.end());
+    return copied;
+  }
+  // Merge into a populated target: timesteps it lacks share the source
+  // slab; timesteps both hold take the source's layers entry by entry.
+  Table& merged = MutableTableLocked(to);
+  for (auto it = first; it != source.slabs.end(); ++it) {
+    auto at = merged.LowerBound(it->first);
+    if (at == merged.slabs.end() || at->first != it->first) {
+      merged.slabs.insert(at, *it);
+      continue;
+    }
+    Slab& slab = MutableSlabLocked(merged, it->first);
+    const std::vector<Entry>& layers = it->second->layers;
+    if (slab.layers.size() < layers.size()) slab.layers.resize(layers.size());
+    for (size_t layer = 0; layer < layers.size(); ++layer) {
+      if (layers[layer].frame != nullptr) slab.layers[layer] = layers[layer];
+    }
   }
   return copied;
 }
 
 int64_t PredictionStore::DropGeneration(int64_t generation) {
-  // Only unlink under the exclusive lock: destroying an entry drops tile
-  // refcounts and may free whole tile blocks, which readers need not
-  // wait for. `unlinked` is destroyed after the lock is released.
-  std::vector<EntryMap::node_type> unlinked;
+  // Only unlink (and count) under the exclusive lock: destroying the
+  // table drops slab refcounts and may free whole tile blocks, which
+  // readers need not wait for. Counting reads slab entries, so it stays
+  // inside the lock, ordered before any later in-place write to a slab
+  // this table shared.
+  std::shared_ptr<Table> unlinked;
   int64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-  while (it != entries_.end() && std::get<0>(it->first) == generation) {
-    dropped += 1 + (it->second.plane != nullptr ? 1 : 0);
-    unlinked.push_back(entries_.extract(it++));
+  auto it = generations_.find(generation);
+  if (it == generations_.end()) return 0;
+  for (const SlabRef& ref : it->second->slabs) {
+    dropped += CountSlab(*ref.second);
   }
+  unlinked = std::move(it->second);
+  generations_.erase(it);
   lock.unlock();
   return dropped;
 }
 
 int64_t PredictionStore::DropFramesBelow(int64_t generation, int64_t min_t) {
-  // Unlinked under the lock, destroyed after it (see DropGeneration).
-  std::vector<EntryMap::node_type> unlinked;
+  // Unlinked and counted under the lock, destroyed after it (see
+  // DropGeneration).
+  std::vector<SlabRef> unlinked;
   int64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-  while (it != entries_.end() && std::get<0>(it->first) == generation) {
-    if (std::get<2>(it->first) < min_t) {
-      dropped += 1 + (it->second.plane != nullptr ? 1 : 0);
-      unlinked.push_back(entries_.extract(it++));
-    } else {
-      ++it;
-    }
+  auto it = generations_.find(generation);
+  if (it == generations_.end() || it->second->slabs.empty() ||
+      it->second->slabs.front().first >= min_t) {
+    return 0;
   }
+  Table& table = MutableTableLocked(generation);
+  auto end = table.LowerBound(min_t);
+  for (auto slab = table.slabs.begin(); slab != end; ++slab) {
+    dropped += CountSlab(*slab->second);
+  }
+  unlinked.assign(std::make_move_iterator(table.slabs.begin()),
+                  std::make_move_iterator(end));
+  table.slabs.erase(table.slabs.begin(), end);
   lock.unlock();
   return dropped;
 }
 
 int64_t PredictionStore::NumFramesAt(int64_t generation) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = generations_.find(generation);
+  if (it == generations_.end()) return 0;
   int64_t frames = 0;
-  for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-       it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-    if (it->second.frame != nullptr) ++frames;
+  for (const SlabRef& ref : it->second->slabs) {
+    for (const Entry& entry : ref.second->layers) {
+      if (entry.frame != nullptr) ++frames;
+    }
   }
   return frames;
 }
 
 int64_t PredictionStore::NumSatPlanesAt(int64_t generation) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = generations_.find(generation);
+  if (it == generations_.end()) return 0;
   int64_t planes = 0;
-  for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-       it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-    if (it->second.plane != nullptr) ++planes;
+  for (const SlabRef& ref : it->second->slabs) {
+    for (const Entry& entry : ref.second->layers) {
+      if (entry.frame != nullptr && entry.plane != nullptr) ++planes;
+    }
   }
   return planes;
 }

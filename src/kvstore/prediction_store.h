@@ -11,20 +11,40 @@
 // offline harness (MauPipeline) writes to; every pre-existing call site
 // keeps working unchanged against it.
 //
-// Storage is tiled and copy-on-write (tensor/tiled_sat.h): a frame and
-// its two-level summed-area plane live as shared tile blocks, so
-//   - CopyGeneration (the epoch carry-forward) copies shared_ptrs, not
-//     cell data — O(window) pointer aliasing per epoch;
-//   - the delta staging path (TrySyncFrameDeltaAt +
-//     TryBuildSatPlaneDeltaAt) copies only the tiles a dirty set marks,
-//     aliasing every clean tile from the base timestep's entry — staging
-//     a 5%-churn epoch copies ~5% of the data;
-//   - reclamation (DropGeneration) unlinks a generation's map nodes under
-//     the lock and frees them after it: a tile block is freed when the
-//     last generation referencing it drops, which keeps a pinned epoch's
-//     data alive precisely as long as its pins.
-// Planes live *inside* the generation entry on purpose: carry-forward
-// and reclamation treat a plane exactly like its frame.
+// Storage is tiled and copy-on-write at three levels:
+//   - a frame and its two-level summed-area plane are shared tile blocks
+//     (tensor/tiled_sat.h); the delta staging path (TrySyncFrameDeltaAt +
+//     TryBuildSatPlaneDeltaAt) copies only the tiles a dirty set marks
+//     and aliases every clean tile from the base timestep's entry, so
+//     staging a 5%-churn epoch copies ~5% of the data;
+//   - a *slab* holds one timestep's per-layer {frame, plane, dirty}
+//     entries, and every generation that carries the timestep shares the
+//     slab;
+//   - a generation is a t-ascending *table* of slab pointers.
+// So CopyGeneration (the epoch carry-forward) copies at most one slab
+// pointer per retained timestep, whatever the number of layers;
+// DropFramesBelow unlinks slabs and DropGeneration unlinks one table.
+// Unlinked tables and slabs are destroyed after the lock is released:
+// a tile block is freed when the last slab referencing it goes, which
+// keeps a pinned epoch's data alive exactly as long as its pins.
+//
+// Writes decide copy-on-write by use count, under the exclusive lock: a
+// table that a View may hold is cloned before it changes (O(timesteps)
+// pointer copies), and a slab that another table shares is cloned
+// before one of its entries changes (O(layers)). The staging generation
+// of an epoch, which no reader sees, is therefore written in place,
+// while every table a reader holds stays frozen.
+//
+// Readers take a View of a generation once (one shared-lock section)
+// and then read frames and planes by (layer, t) as raw pointers, with
+// no lock and no refcount per read. Everything a View reaches stays
+// alive and unchanged until the View is released, even if its
+// generation is dropped or rewritten meanwhile. A View releases its
+// table under the shared lock, so a writer that later finds the table
+// (or a slab of it) unshared is ordered after every read made through
+// the View.
+// Planes live *inside* the slab entry on purpose: carry-forward and
+// reclamation treat a plane exactly like its frame.
 #ifndef ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 #define ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 
@@ -34,7 +54,8 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/status.h"
 #include "tensor/tensor.h"
@@ -99,16 +120,62 @@ class PredictionStore {
   Result<Tensor> GetFrame(int layer, int64_t t) const;
   Result<Tensor> GetFrameAt(int64_t generation, int layer, int64_t t) const;
 
-  /// \brief Zero-copy tiled reads, the query path's only frame and plane
-  /// read primitive: a shared_ptr fetch under a shared lock, no
-  /// materialization — a reader pays for the cells it touches, not the
-  /// frame area. The returned object (and every raw tile pointer taken
-  /// from it) outlives any concurrent reclamation of its generation for
-  /// as long as the caller holds the shared_ptr.
+  /// \brief Zero-copy tiled reads of one (generation, layer, t): a
+  /// shared_ptr fetch under the shared lock, no materialization. The
+  /// returned object (and every raw tile pointer taken from it) outlives
+  /// any concurrent reclamation of its generation for as long as the
+  /// caller holds the shared_ptr. The query path reads through a View
+  /// instead, which pays the lock once per query, not once per frame.
   Result<std::shared_ptr<const TiledFrame>> GetTiledFrameAt(
       int64_t generation, int layer, int64_t t) const;
   Result<std::shared_ptr<const TiledSatPlane>> GetTiledSatPlaneAt(
       int64_t generation, int layer, int64_t t) const;
+
+ private:
+  struct Table;
+
+ public:
+  /// \brief Lock-free read handle on one generation as it stood when the
+  /// View was taken. Lookups are a search over the generation's
+  /// timesteps plus an index by layer: no lock, no allocation, no
+  /// refcount. Every pointer a lookup returns stays valid, and its
+  /// contents unchanged, while the View lives — later writes to the
+  /// generation copy what they change, and dropping the generation
+  /// frees nothing the View reaches. Const lookups may run concurrently
+  /// from any number of threads. Move-only; the store must outlive it.
+  class View {
+   public:
+    View() = default;  ///< empty: every lookup misses
+    ~View() { Release(); }
+    View(View&& other) noexcept
+        : store_(other.store_), table_(std::move(other.table_)) {}
+    View& operator=(View&& other) noexcept;
+    View(const View&) = delete;
+    View& operator=(const View&) = delete;
+
+    /// \brief The (layer, t) frame; NotFound ("no prediction frame for
+    /// key", as GetTiledFrameAt) when the generation has none.
+    Result<const TiledFrame*> FrameAt(int layer, int64_t t) const;
+    /// \brief The (layer, t) summed-area plane, or null when none was
+    /// built (or the frame is missing).
+    const TiledSatPlane* PlaneAt(int layer, int64_t t) const;
+
+    /// \brief Drops the table early (also done by the destructor).
+    void Release();
+
+   private:
+    friend class PredictionStore;
+    View(const PredictionStore* store, std::shared_ptr<const Table> table)
+        : store_(store), table_(std::move(table)) {}
+
+    const PredictionStore* store_ = nullptr;
+    std::shared_ptr<const Table> table_;  ///< null: missing generation
+  };
+
+  /// \brief Takes a View of `generation` (one shared-lock section). A
+  /// generation that does not exist yields a View on which every lookup
+  /// misses, so its reads fail per row exactly as GetTiledFrameAt does.
+  View ViewAt(int64_t generation) const;
 
   /// \brief The dirty set recorded when (generation, layer, t) was
   /// delta-staged (tiles changed vs. its predecessor timestep), or null
@@ -159,24 +226,27 @@ class PredictionStore {
   int64_t BuildSatPlanes(int64_t generation, ThreadPool* pool = nullptr);
 
   /// \brief Copies frames of `from` with t >= `min_t` into generation
-  /// `to` — shared_ptr aliasing of every tile block, no cell data moves.
-  /// The epoch manager's carry-forward: the shadow generation starts as
-  /// a snapshot of the published one, optionally truncated to a
-  /// retention horizon so continuous runs keep per-epoch cost bounded.
-  /// Returns the number of frames plus planes copied.
+  /// `to`, overwriting the same (layer, t) there and keeping the rest.
+  /// Into an empty `to` this shares one slab pointer per copied
+  /// timestep: no cell data, tile pointer or per-layer entry moves. The
+  /// epoch manager's carry-forward: the shadow generation starts as a
+  /// snapshot of the published one, optionally truncated to a retention
+  /// horizon so continuous runs keep per-epoch cost bounded. Returns the
+  /// number of frames plus planes copied.
   int64_t CopyGeneration(int64_t from, int64_t to,
                          int64_t min_t = INT64_MIN);
 
   /// \brief Deletes every frame of a generation (epoch reclamation once
   /// the last reader unpins it); tile blocks free when their last
-  /// referencing generation drops. Entries are unlinked under the
+  /// referencing slab goes. The generation's table is unlinked under the
   /// exclusive lock and destroyed after it is released, so readers never
-  /// wait on tile frees. Returns frames plus planes dropped.
+  /// wait on frees. Returns frames plus planes dropped.
   int64_t DropGeneration(int64_t generation);
 
   /// \brief Deletes a generation's frames with t < `min_t` (retention
-  /// trim of a still-unpublished shadow generation), freeing them after
-  /// the lock like DropGeneration. Returns frames plus planes dropped.
+  /// trim of a still-unpublished shadow generation): unlinks their slabs
+  /// and frees them after the lock like DropGeneration. Returns frames
+  /// plus planes dropped.
   int64_t DropFramesBelow(int64_t generation, int64_t min_t);
 
   /// \brief Number of frames stored under a generation (summed-area
@@ -198,38 +268,81 @@ class PredictionStore {
   }
 
  private:
-  /// \brief One stored (generation, layer, t): tiled CoW frame, its
-  /// optional tiled plane, and the dirty set it was staged with (null
-  /// when unknown).
+  /// \brief One stored (generation, layer, t): tiled CoW frame (null:
+  /// absent), its optional tiled plane, and the dirty set it was staged
+  /// with (null when unknown).
   struct Entry {
     std::shared_ptr<const TiledFrame> frame;
     std::shared_ptr<const TiledSatPlane> plane;
     std::shared_ptr<const TileDirtySet> dirty;
   };
-  using Key = std::tuple<int64_t, int, int64_t>;  // (generation, layer, t)
-  using EntryMap = std::map<Key, Entry>;
+  /// \brief One timestep's entries, indexed by layer; shared by every
+  /// generation that carries the timestep.
+  struct Slab {
+    std::vector<Entry> layers;
+  };
+  using SlabRef = std::pair<int64_t, std::shared_ptr<Slab>>;  // (t, slab)
+  /// \brief One generation: its slabs, t-ascending, one per timestep
+  /// that holds at least one frame.
+  struct Table {
+    std::vector<SlabRef> slabs;
+
+    std::vector<SlabRef>::const_iterator LowerBound(int64_t t) const;
+    std::vector<SlabRef>::iterator LowerBound(int64_t t);
+    /// \brief The slab at `t`, or null.
+    const Slab* Find(int64_t t) const;
+  };
+
+  /// \brief The entry of `layer` in `slab` when it holds a frame, or null
+  /// (also for a null slab).
+  static const Entry* EntryIn(const Slab* slab, int layer);
 
   /// \brief The injected fault Status, or OK when writes are healthy.
   Status WriteFault() const;
 
+  /// \brief The entry of (generation, layer, t) with a frame, or null.
+  /// The caller holds mu_ (shared or exclusive).
+  const Entry* FindEntryLocked(int64_t generation, int layer,
+                               int64_t t) const;
+
   /// \brief Copies one entry's shared_ptrs under the shared lock; false
   /// when absent.
-  bool SnapshotEntry(const Key& key, Entry* out) const;
+  bool SnapshotEntry(int64_t generation, int layer, int64_t t,
+                     Entry* out) const;
 
   /// \brief Copies one field of an entry under the shared lock (null when
-  /// absent): the hot read paths bump one refcount, not all three — the
-  /// control blocks are shared with every concurrent reader and with the
-  /// publisher's carry-forward and reclamation.
+  /// absent): one refcount bump, not three.
   template <typename T>
   std::shared_ptr<const T> SnapshotField(
-      const Key& key, std::shared_ptr<const T> Entry::*field) const {
+      int64_t generation, int layer, int64_t t,
+      std::shared_ptr<const T> Entry::*field) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : it->second.*field;
+    const Entry* entry = FindEntryLocked(generation, layer, t);
+    return entry == nullptr ? nullptr : entry->*field;
   }
 
+  /// \brief `generation`'s table, created when absent and cloned first
+  /// when a View may hold it. Caller holds mu_ exclusively.
+  Table& MutableTableLocked(int64_t generation);
+  /// \brief The slab at `t` of a writable table, created when absent and
+  /// cloned first when another table shares it. Caller holds mu_
+  /// exclusively.
+  static Slab& MutableSlabLocked(Table& table, int64_t t);
+  /// \brief The writable entry of (generation, layer, t), created empty
+  /// when absent. Caller holds mu_ exclusively.
+  Entry& MutableEntryLocked(int64_t generation, int layer, int64_t t);
+
+  /// \brief Attaches `plane` to (generation, layer, t) if that entry
+  /// still holds `frame` (the frame the plane was built from).
+  void InstallPlane(int64_t generation, int layer, int64_t t,
+                    const TiledFrame& frame,
+                    std::shared_ptr<const TiledSatPlane> plane);
+
+  /// \brief Frames plus planes held by `slab`.
+  static int64_t CountSlab(const Slab& slab);
+
   mutable std::shared_mutex mu_;
-  EntryMap entries_;
+  std::map<int64_t, std::shared_ptr<Table>> generations_;
 
   // Write-fault seam: flag checked on the hot path (one relaxed load),
   // Status only locked when a fault is actually set or read.

@@ -21,18 +21,21 @@
 namespace one4all {
 namespace query_internal {
 
-/// \brief Per-worker memo of prediction frames: one GetTiledFrameAt per
+/// \brief Per-worker memo of prediction frames: one View lookup per
 /// (layer, t) instead of one per combination term.
 ///
-/// Holds the store's zero-copy TiledFrames and reads term cells in place,
-/// so a gather costs its terms, not the frame area. A flat key-sorted
-/// vector, not a map: the memo holds a handful of frames (layers x
-/// timesteps of one worker chunk), so binary search over contiguous keys
-/// beats pointer-chasing map nodes, and an insert shifts only shared_ptrs.
+/// Reads through the executor's View of the pinned generation, taken
+/// once per Execute: a miss is a lock-free table lookup that yields a
+/// raw TiledFrame pointer, with no store lock and no refcount bump per
+/// fetch, and term cells are read in place, so a gather costs its terms,
+/// not the frame area. A flat key-sorted vector, not a map: the memo
+/// holds a handful of frames (layers x timesteps of one worker chunk),
+/// so binary search over contiguous keys beats pointer-chasing map
+/// nodes, and an insert shifts plain pointers.
 class FrameMemo {
  public:
-  FrameMemo(const PredictionStore* store, int64_t generation)
-      : store_(store), generation_(generation) {}
+  /// \param view Must outlive the memo.
+  explicit FrameMemo(const PredictionStore::View* view) : view_(view) {}
 
   /// \brief Sums signed term predictions at `t` (same term order as
   /// RegionQueryServer::EvaluateTerms, so values match it exactly).
@@ -54,19 +57,19 @@ class FrameMemo {
 
   /// \brief The (layer, t) frame, fetched on first use, for callers that
   /// read individual cells instead of folding terms (the sharded scatter
-  /// stage). Valid for the memo's lifetime.
+  /// stage). Valid while the view lives.
   Result<const TiledFrame*> Get(int layer, int64_t t) {
     const Key key{layer, t};
     auto it = LowerBound(key);
     if (it == frames_.end() || it->first != key) {
       O4A_RETURN_NOT_OK(Fetch(key, &it));
     }
-    return it->second.get();
+    return it->second;
   }
 
  private:
   using Key = std::pair<int, int64_t>;
-  using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
+  using Entry = std::pair<Key, const TiledFrame*>;
 
   std::vector<Entry>::iterator LowerBound(const Key& key) {
     return std::lower_bound(
@@ -74,18 +77,16 @@ class FrameMemo {
         [](const Entry& e, const Key& k) { return e.first < k; });
   }
 
-  /// \brief Miss path: reads `key` from the store and inserts it at
+  /// \brief Miss path: looks `key` up in the view and inserts it at
   /// `*it` (its lower bound), leaving `*it` on the new entry.
   Status Fetch(const Key& key, std::vector<Entry>::iterator* it) {
-    Result<std::shared_ptr<const TiledFrame>> frame =
-        store_->GetTiledFrameAt(generation_, key.first, key.second);
+    Result<const TiledFrame*> frame = view_->FrameAt(key.first, key.second);
     O4A_RETURN_NOT_OK(frame.status());
-    *it = frames_.insert(*it, Entry{key, frame.MoveValueUnsafe()});
+    *it = frames_.insert(*it, Entry{key, *frame});
     return Status::OK();
   }
 
-  const PredictionStore* store_;
-  int64_t generation_;
+  const PredictionStore::View* view_;
   std::vector<Entry> frames_;  ///< key-ascending
 };
 

@@ -109,12 +109,13 @@ QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
 
 // -- SAT fast path ----------------------------------------------------------
 
-/// \brief One (layer, t) the fast path needs, with whatever was fetched
-/// for it. Frames and planes are fetched once per *plan* (the exact path
-/// re-fetches per worker chunk), then read concurrently by every row.
-/// Both are the store's zero-copy tiled objects (an O(1) refcount bump;
-/// the epoch pin keeps them alive); the hot row loop reads raw pointers
-/// hoisted at fetch time — no Result<> unwrapping per rect/residue read.
+/// \brief One (layer, t) the fast path needs, with whatever was found
+/// for it. Frames and planes are looked up once per *plan* (the exact
+/// path looks up per worker chunk), then read concurrently by every row.
+/// Both are raw pointers into the executor's View of the pinned
+/// generation (no store lock and no refcount bump per lookup; the View
+/// keeps them alive and unchanged); the hot row loop reads them without
+/// any Result<> unwrapping per rect/residue read.
 struct FrameTableEntry {
   int layer = 0;
   int64_t t = 0;
@@ -122,12 +123,12 @@ struct FrameTableEntry {
   bool need_plane = false;
   /// The tiled frame (null when missing; `error` says why) and its dense
   /// per-tile cell pointers, indexed by ResidueRead::tile.
-  std::shared_ptr<const TiledFrame> frame;
+  const TiledFrame* frame = nullptr;
   const float* const* tiles = nullptr;
   /// The tiled summed-area plane. Null: not published for this
   /// generation — rect reads then fall back to direct sums over `frame`.
-  std::shared_ptr<const TiledSatPlane> plane;
-  Status error;  ///< frame fetch failure (typically NotFound)
+  const TiledSatPlane* plane = nullptr;
+  Status error;  ///< frame lookup failure (typically NotFound)
 };
 
 bool EntryKeyLess(const FrameTableEntry& e, std::pair<int, int64_t> key) {
@@ -212,6 +213,10 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
 
   // -- Stage 2: epoch-pinned frame gather + aggregation fold -------------
   stage_timer.Restart();
+  // The one store lock section of the gather: every frame and plane read
+  // below is a lock-free lookup in this view of the pinned generation.
+  const PredictionStore::View view =
+      server_->store()->ViewAt(options.generation);
   const bool keep_series =
       plan.spec.keep_series && !plan.spec.time.IsPoint();
 
@@ -220,8 +225,8 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
     // Fast path, phase 1: collect every (layer, t) the plan touches and
-    // fetch frames/planes for them once, in parallel. Rows only read the
-    // table afterwards, so no synchronization is needed in phase 2.
+    // look frames/planes up for them once. Rows only read the table
+    // afterwards, so no synchronization is needed in phase 2.
     // Layer needs dedup per slot first (rows sharing a resolution share
     // its layer set), then expand over timesteps into lightweight keys.
     struct LayerNeedKey {
@@ -282,57 +287,36 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       }
     }
 
-    const PredictionStore* store = server_->store();
+    // Lookups are lock-free pointer reads, far cheaper than a pool
+    // fan-out, so the table fills on the calling thread.
     const Hierarchy& hierarchy = *server_->hierarchy();
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
-        static_cast<int64_t>(table.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            FrameTableEntry& entry = table[static_cast<size_t>(i)];
-            if (entry.need_plane) {
-              Result<std::shared_ptr<const TiledSatPlane>> plane =
-                  store->GetTiledSatPlaneAt(options.generation, entry.layer,
-                                            entry.t);
-              if (plane.ok()) {
-                entry.plane = plane.MoveValueUnsafe();
-              } else if (plane.status().code() == StatusCode::kNotFound) {
-                // No plane published for this generation (e.g. the
-                // static offline generation before BuildSatPlanes):
-                // rect reads degrade to direct frame sums instead of
-                // failing the row.
-                entry.need_frame = true;
-              } else {
-                // Anything else (corrupt blob, size mismatch) is a
-                // store defect: fail the rows loudly rather than
-                // silently eating the fast path's speedup forever.
-                entry.error = plane.status();
-                continue;
-              }
-            }
-            if (entry.need_frame) {
-              Result<std::shared_ptr<const TiledFrame>> frame =
-                  store->GetTiledFrameAt(options.generation, entry.layer,
-                                         entry.t);
-              if (!frame.ok()) {
-                entry.error = frame.status();
-                continue;
-              }
-              // Residues were compiled against the hierarchy's layer
-              // extent; a frame of any other shape would misplace them.
-              const LayerInfo& layer = hierarchy.layer(entry.layer);
-              if ((*frame)->height() != layer.height ||
-                  (*frame)->width() != layer.width) {
-                entry.error = Status::Internal(
-                    "stored frame extent does not match layer " +
-                    std::to_string(entry.layer));
-                continue;
-              }
-              entry.frame = frame.MoveValueUnsafe();
-              entry.tiles = entry.frame->tile_table();
-            }
-          }
-        });
+    for (FrameTableEntry& entry : table) {
+      if (entry.need_plane) {
+        entry.plane = view.PlaneAt(entry.layer, entry.t);
+        // No plane published for this generation (e.g. the static
+        // offline generation before BuildSatPlanes): rect reads degrade
+        // to direct frame sums instead of failing the row.
+        if (entry.plane == nullptr) entry.need_frame = true;
+      }
+      if (!entry.need_frame) continue;
+      Result<const TiledFrame*> frame = view.FrameAt(entry.layer, entry.t);
+      if (!frame.ok()) {
+        entry.error = frame.status();
+        continue;
+      }
+      // Residues were compiled against the hierarchy's layer extent; a
+      // frame of any other shape would misplace them.
+      const LayerInfo& layer = hierarchy.layer(entry.layer);
+      if ((*frame)->height() != layer.height ||
+          (*frame)->width() != layer.width) {
+        entry.error = Status::Internal(
+            "stored frame extent does not match layer " +
+            std::to_string(entry.layer));
+        continue;
+      }
+      entry.frame = *frame;
+      entry.tiles = entry.frame->tile_table();
+    }
 
     // Phase 2: per-row interpretation of the compiled gather programs.
     query_internal::RunSharded(
@@ -437,7 +421,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       [&](int64_t begin, int64_t end) {
         TraceContext shard_trace;
         if (options.trace != nullptr) shard_trace = *options.trace;
-        query_internal::FrameMemo memo(server_->store(), options.generation);
+        query_internal::FrameMemo memo(&view);
         std::vector<double> series;
         for (int64_t i = begin; i < end; ++i) {
           const PlanRow& planned = plan.rows[static_cast<size_t>(i)];

@@ -51,36 +51,55 @@ uint64_t TopKMemo::Fingerprint(const SpecKey& key) {
   return h;
 }
 
-CellRect TopKMemo::FootprintOf(const GridMask& region) const {
-  // Atomic bounding box of the set cells...
-  int64_t r0 = region.height(), r1 = 0, c0 = region.width(), c1 = 0;
-  const std::vector<uint64_t>& words = region.words();
-  const int64_t w = region.width();
+CellRect MaskBounds(const GridMask& mask) {
+  // Word-level: one divide per nonzero word (its first cell's row and
+  // column), then ctz/clz per row segment the word spans — a word holds
+  // 64 consecutive row-major cells, so it crosses a row boundary at
+  // most every `w` bits.
+  const int64_t w = mask.width();
+  int64_t r0 = mask.height(), r1 = 0, c0 = w, c1 = 0;
+  const std::vector<uint64_t>& words = mask.words();
   for (size_t wi = 0; wi < words.size(); ++wi) {
-    uint64_t word = words[wi];
-    while (word != 0) {
-      const int bit = __builtin_ctzll(word);
-      word &= word - 1;
-      const int64_t cell = static_cast<int64_t>(wi) * 64 + bit;
-      const int64_t r = cell / w, c = cell % w;
-      r0 = std::min(r0, r);
-      r1 = std::max(r1, r + 1);
-      c0 = std::min(c0, c);
-      c1 = std::max(c1, c + 1);
+    uint64_t bits = words[wi];
+    if (bits == 0) continue;
+    const int64_t first_cell = static_cast<int64_t>(wi) * 64;
+    int64_t row = first_cell / w;
+    int64_t col = first_cell - row * w;  // column of bit 0 of `bits`
+    while (bits != 0) {
+      const int64_t span = w - col;  // cells left in `row`
+      const uint64_t seg =
+          span >= 64 ? bits : bits & ((uint64_t{1} << span) - 1);
+      if (seg != 0) {
+        r0 = std::min(r0, row);
+        r1 = std::max(r1, row + 1);
+        c0 = std::min(c0, col + __builtin_ctzll(seg));
+        c1 = std::max(c1, col + 64 - __builtin_clzll(seg));
+      }
+      if (span >= 64) break;
+      bits >>= span;
+      ++row;
+      col = 0;
     }
   }
-  if (r1 <= r0) return CellRect{0, 0, 0, 0};  // empty region
+  if (r1 <= r0) return CellRect{0, 0, 0, 0};  // empty mask
+  return CellRect{r0, c0, r1, c1};
+}
+
+CellRect TopKMemo::FootprintOf(const GridMask& region) const {
+  // Atomic bounding box of the set cells...
+  const CellRect box = MaskBounds(region);
+  if (box.Area() == 0) return box;  // empty region
   // ...rounded out to the coarsest layer's grid boundaries: every union
   // grid the planner can pick intersects the region, so its atomic
   // extent — and that of any subtraction grid nested inside it — stays
   // within this expansion.
   const int64_t scale = hierarchy_->layer(hierarchy_->num_layers()).scale;
   CellRect fp;
-  fp.r0 = (r0 / scale) * scale;
-  fp.c0 = (c0 / scale) * scale;
-  fp.r1 = std::min(((r1 + scale - 1) / scale) * scale,
+  fp.r0 = (box.r0 / scale) * scale;
+  fp.c0 = (box.c0 / scale) * scale;
+  fp.r1 = std::min(((box.r1 + scale - 1) / scale) * scale,
                    hierarchy_->atomic_height());
-  fp.c1 = std::min(((c1 + scale - 1) / scale) * scale,
+  fp.c1 = std::min(((box.c1 + scale - 1) / scale) * scale,
                    hierarchy_->atomic_width());
   return fp;
 }

@@ -39,6 +39,10 @@
 
 namespace one4all {
 
+/// \brief Bounding box of a mask's set cells ({0, 0, 0, 0} when none is
+/// set), computed word by word: the top-k footprint's atomic extent.
+CellRect MaskBounds(const GridMask& mask);
+
 struct TopKMemoOptions {
   /// Distinct memoized specs (LRU-evicted beyond this).
   size_t capacity = 64;

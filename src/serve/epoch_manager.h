@@ -168,10 +168,12 @@ class FrameEpochManager : public EpochSink {
   };
 
   /// \brief Opens the shadow generation of the next epoch. With
-  /// `carry_forward`, it starts as a full snapshot of the currently
-  /// published epoch's frames (raw blob copy), so publishing extends the
-  /// served window by the newly staged timesteps; without, the epoch
-  /// serves exactly what the writer stages.
+  /// `carry_forward`, it starts as a snapshot of the currently published
+  /// epoch's retained window: one shared slab pointer per carried
+  /// timestep (PredictionStore::CopyGeneration), no frame or tile data
+  /// copied. Publishing then extends the served window by the newly
+  /// staged timesteps; without carry-forward, the epoch serves exactly
+  /// what the writer stages.
   Staging BeginEpoch(bool carry_forward = true);
 
   /// \brief Atomically makes the staged epoch the published one. Readers

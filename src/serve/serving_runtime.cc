@@ -152,14 +152,16 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   // (the subscription pattern) probes the memo, which proves per row
   // whether any publish since the memoized evaluation touched its term
   // footprint. Clean rows carry their value over; only churned rows are
-  // re-gathered (as a multi-region sub-spec), and the ranking is
-  // re-sorted over the merged set. Unsharded only for now — the
-  // sharded barrier does not feed the memo (see ROADMAP).
+  // re-gathered (as a multi-region sub-spec; when no row is clean, the
+  // original spec runs whole), and the ranking is re-sorted over the
+  // merged set. Unsharded only for now — the sharded barrier does not
+  // feed the memo (see ROADMAP).
   const bool memo_eligible = shards_ == nullptr &&
                              kind == QuerySpecKind::kTopK &&
                              spec.time.IsPoint();
   TopKMemo::Probe probe;
   std::vector<int> stale_rows;
+  bool all_rows_stale = false;  // a hit that proved no row clean
   // Each region is fingerprinted once per spec: the memo keys on these,
   // and the planner hands them on to the resolve cache. Non-memo specs
   // leave it to the planner, inside the plan stage.
@@ -173,6 +175,13 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     if (probe.hit) {
       for (size_t i = 0; i < probe.clean.size(); ++i) {
         if (!probe.clean[i]) stale_rows.push_back(static_cast<int>(i));
+      }
+      // Nothing to carry over: run the original spec, as on a miss,
+      // instead of a sub-spec that would copy every region mask.
+      if (!stale_rows.empty() && stale_rows.size() == probe.clean.size()) {
+        all_rows_stale = true;
+        probe = TopKMemo::Probe();
+        stale_rows.clear();
       }
     }
   }
@@ -307,6 +316,7 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     topk_memo_.CountReuse(num_rows - eval_rows, eval_rows);
     result = std::move(merged);
   }
+  if (all_rows_stale) topk_memo_.CountReuse(0, num_rows);
   if (memo_eligible) {
     // Unless a sub-spec ran, the plan holds the original spec.
     topk_memo_.Store(probe.hit ? memo_spec : plan->spec,

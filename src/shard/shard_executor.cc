@@ -171,9 +171,12 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
               0.0f);
           int64_t term_reads = 0;
           ScopedSpan scatter_span(&shard_trace, SpanName::kShardScatter);
-          query_internal::FrameMemo memo(
-              &shards_->shard(static_cast<int>(k)).store,
-              pins.generation(static_cast<int>(k)));
+          // One store lock section per shard: the memo's misses are
+          // lock-free lookups in this view of the pinned generation.
+          const PredictionStore::View view =
+              shards_->shard(static_cast<int>(k))
+                  .store.ViewAt(pins.generation(static_cast<int>(k)));
+          query_internal::FrameMemo memo(&view);
           for (size_t s = 0; s < num_slots; ++s) {
             const ShardSlot& slot = slots[s];
             if (!slot.resolved.ok() || slot.t_max < slot.t_min) continue;

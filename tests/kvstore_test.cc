@@ -1,9 +1,13 @@
 // Tests for the prediction store: frame round trips, generations,
-// copy-on-write delta staging and concurrent readers.
+// copy-on-write delta staging, views, a randomized differential check
+// against a plain keyed map, and concurrent readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "kvstore/prediction_store.h"
 #include "test_util.h"
@@ -334,6 +338,359 @@ TEST(PredictionStoreTest, CopyGenerationSharesTileBlocks) {
   auto restored = store.GetFrameAt(2, 1, 0);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->AllClose(frame));
+}
+
+// A View is a snapshot: writes, copy-on-write clones, trims and drops
+// made after it was taken never show through it, and its pointers stay
+// valid after the generation is gone.
+TEST(PredictionStoreTest, ViewKeepsItsContentsAcrossWritesAndDrops) {
+  PredictionStore store;
+  ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 0, Tensor::Full({4, 4}, 1.0f)).ok());
+  ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 1, Tensor::Full({4, 4}, 2.0f)).ok());
+  ASSERT_TRUE(store.TryBuildSatPlaneAt(1, 1, 1).ok());
+
+  PredictionStore::View view = store.ViewAt(1);
+  auto frame0 = view.FrameAt(1, 0);
+  auto frame1 = view.FrameAt(1, 1);
+  ASSERT_TRUE(frame0.ok() && frame1.ok());
+  const TiledSatPlane* plane1 = view.PlaneAt(1, 1);
+  ASSERT_NE(plane1, nullptr);
+  EXPECT_EQ(view.PlaneAt(1, 0), nullptr);  // no plane built there
+  EXPECT_EQ(view.FrameAt(2, 0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(view.FrameAt(1, 7).status().code(), StatusCode::kNotFound);
+
+  // Rewrite a viewed timestep, add one, build a plane, trim, then drop.
+  ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 1, Tensor::Full({4, 4}, 9.0f)).ok());
+  ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 2, Tensor::Full({4, 4}, 3.0f)).ok());
+  ASSERT_TRUE(store.TryBuildSatPlaneAt(1, 1, 0).ok());
+  EXPECT_EQ(store.DropFramesBelow(1, 1), 2);  // frame + its new plane
+  EXPECT_FLOAT_EQ(*store.TryGetValueAt(1, 1, 1, 0, 0), 9.0f);
+
+  EXPECT_EQ(*view.FrameAt(1, 0), *frame0);
+  EXPECT_EQ(*view.FrameAt(1, 1), *frame1);
+  EXPECT_EQ(view.PlaneAt(1, 1), plane1);
+  EXPECT_EQ(view.PlaneAt(1, 0), nullptr);
+  EXPECT_EQ(view.FrameAt(1, 2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.DropGeneration(1), 2);
+  EXPECT_FLOAT_EQ((*frame0)->at(3, 3), 1.0f);
+  EXPECT_FLOAT_EQ((*frame1)->at(3, 3), 2.0f);
+  EXPECT_DOUBLE_EQ(plane1->RectSum(0, 0, 4, 4), 32.0);
+
+  // A fresh view sees the store as it is now; a missing generation
+  // misses every lookup.
+  PredictionStore::View gone = store.ViewAt(1);
+  EXPECT_EQ(gone.FrameAt(1, 1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(gone.PlaneAt(1, 1), nullptr);
+  view.Release();
+  EXPECT_EQ(view.FrameAt(1, 0).status().code(), StatusCode::kNotFound);
+}
+
+// Differential check of the generation API against the simplest model
+// that states its meaning: a map from (generation, layer, t) to the
+// {frame, plane, dirty} pointers stored there. Seeded random sequences
+// of frame writes, delta writes, plane builds, carry-forward copies,
+// trims and drops run against both; after every step each key's pointer
+// identities, the per-generation counts and every returned count must
+// agree. Frames carry a unique id in cell (0, 0), so a write that showed
+// through in another generation would change that generation's id.
+// Views taken along the way must keep exactly what they saw.
+TEST(PredictionStoreTest, RandomizedDifferentialAgainstKeyedMap) {
+  constexpr int64_t kGenerations = 4;
+  constexpr int kLayers = 3;  // layers 0..2
+  constexpr int64_t kTimesteps = 6;
+  constexpr int64_t kH = 40, kW = 40;  // 2x2 tiles
+
+  struct ModelEntry {
+    const TiledFrame* frame = nullptr;
+    const TiledSatPlane* plane = nullptr;
+    const TileDirtySet* dirty = nullptr;
+    float id = 0.0f;
+  };
+  using Key = std::tuple<int64_t, int, int64_t>;
+  using Model = std::map<Key, ModelEntry>;
+
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    PredictionStore store;
+    Model model;
+    float next_id = 1.0f;
+    struct HeldView {
+      PredictionStore::View view;
+      std::map<std::pair<int, int64_t>, ModelEntry> seen;  // (layer, t)
+    };
+    std::vector<HeldView> views;
+
+    const auto pick_gen = [&] {
+      return static_cast<int64_t>(rng.UniformInt(kGenerations));
+    };
+    const auto pick_layer = [&] {
+      return static_cast<int>(rng.UniformInt(kLayers));
+    };
+    const auto pick_t = [&] {
+      return static_cast<int64_t>(rng.UniformInt(kTimesteps));
+    };
+    const auto frame_of = [&](int64_t g, int layer, int64_t t) {
+      auto frame = store.GetTiledFrameAt(g, layer, t);
+      return frame.ok() ? frame->get() : nullptr;
+    };
+    const auto count_of = [&](const ModelEntry& e) {
+      return int64_t{1} + (e.plane != nullptr ? 1 : 0);
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int64_t g = pick_gen();
+      const int layer = pick_layer();
+      const int64_t t = pick_t();
+      switch (rng.UniformInt(8)) {
+        case 0:
+        case 1: {  // full frame write
+          const float id = next_id++;
+          ASSERT_TRUE(
+              store.TrySyncFrameAt(g, layer, t, Tensor::Full({kH, kW}, id))
+                  .ok());
+          model[Key{g, layer, t}] =
+              ModelEntry{frame_of(g, layer, t), nullptr, nullptr, id};
+          break;
+        }
+        case 2: {  // delta write against t-1, one dirty tile
+          const float id = next_id++;
+          auto base = store.GetFrameAt(g, layer, t - 1);
+          Tensor frame =
+              base.ok() ? *base : Tensor::Full({kH, kW}, 0.5f);
+          frame.data()[0] = id;
+          TileDirtySet dirty;  // unknown: stage every tile fresh
+          if (rng.UniformInt(4) != 0) {
+            dirty = TileDirtySet(kH, kW);
+            dirty.MarkCell(0, 0);
+          }
+          ASSERT_TRUE(
+              store.TrySyncFrameDeltaAt(g, layer, t, frame, t - 1, dirty)
+                  .ok());
+          const ModelEntry written{frame_of(g, layer, t), nullptr,
+                                   store.GetDirtyAt(g, layer, t).get(), id};
+          EXPECT_EQ(written.dirty == nullptr, dirty.empty());
+          model[Key{g, layer, t}] = written;
+          break;
+        }
+        case 3: {  // plane build (full or incremental)
+          auto it = model.find(Key{g, layer, t});
+          const Status status =
+              rng.UniformInt(2) == 0
+                  ? store.TryBuildSatPlaneAt(g, layer, t)
+                  : store.TryBuildSatPlaneDeltaAt(g, layer, t, t - 1);
+          if (it == model.end()) {
+            EXPECT_EQ(status.code(), StatusCode::kNotFound);
+            break;
+          }
+          ASSERT_TRUE(status.ok());
+          auto plane = store.GetTiledSatPlaneAt(g, layer, t);
+          ASSERT_TRUE(plane.ok());
+          it->second.plane = plane->get();
+          EXPECT_FLOAT_EQ(static_cast<float>((*plane)->RectSum(0, 0, 1, 1)),
+                          it->second.id);
+          break;
+        }
+        case 4: {  // carry-forward copy
+          const int64_t to = pick_gen();
+          if (to == g) break;
+          const int64_t min_t =
+              rng.UniformInt(2) == 0 ? INT64_MIN : pick_t();
+          int64_t expected = 0;
+          Model copied;
+          for (const auto& [key, entry] : model) {
+            if (std::get<0>(key) == g && std::get<2>(key) >= min_t) {
+              expected += count_of(entry);
+              copied[Key{to, std::get<1>(key), std::get<2>(key)}] = entry;
+            }
+          }
+          EXPECT_EQ(store.CopyGeneration(g, to, min_t), expected);
+          for (const auto& [key, entry] : copied) model[key] = entry;
+          break;
+        }
+        case 5: {  // retention trim
+          const int64_t min_t = pick_t();
+          int64_t expected = 0;
+          for (auto it = model.begin(); it != model.end();) {
+            if (std::get<0>(it->first) == g && std::get<2>(it->first) < min_t) {
+              expected += count_of(it->second);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(store.DropFramesBelow(g, min_t), expected);
+          break;
+        }
+        case 6: {  // reclaim
+          int64_t expected = 0;
+          for (auto it = model.begin(); it != model.end();) {
+            if (std::get<0>(it->first) == g) {
+              expected += count_of(it->second);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(store.DropGeneration(g), expected);
+          break;
+        }
+        case 7: {  // take or release a view
+          if (!views.empty() && rng.UniformInt(2) == 0) {
+            views.erase(views.begin() +
+                        static_cast<int64_t>(rng.UniformInt(views.size())));
+            break;
+          }
+          HeldView held{store.ViewAt(g), {}};
+          for (const auto& [key, entry] : model) {
+            if (std::get<0>(key) == g) {
+              held.seen[{std::get<1>(key), std::get<2>(key)}] = entry;
+            }
+          }
+          views.push_back(std::move(held));
+          break;
+        }
+      }
+
+      // The store agrees with the model on every key and every count.
+      for (int64_t gen = 0; gen < kGenerations; ++gen) {
+        int64_t frames = 0, planes = 0;
+        for (int l = 0; l < kLayers; ++l) {
+          for (int64_t ts = 0; ts < kTimesteps; ++ts) {
+            auto it = model.find(Key{gen, l, ts});
+            const ModelEntry want =
+                it == model.end() ? ModelEntry{} : it->second;
+            ASSERT_EQ(frame_of(gen, l, ts), want.frame)
+                << "gen " << gen << " layer " << l << " t " << ts;
+            ASSERT_EQ(store.HasFrameAt(gen, l, ts), want.frame != nullptr);
+            auto plane = store.GetTiledSatPlaneAt(gen, l, ts);
+            ASSERT_EQ(plane.ok() ? plane->get() : nullptr, want.plane);
+            ASSERT_EQ(store.HasSatPlaneAt(gen, l, ts), want.plane != nullptr);
+            ASSERT_EQ(store.GetDirtyAt(gen, l, ts).get(), want.dirty);
+            if (want.frame != nullptr) {
+              ASSERT_FLOAT_EQ(want.frame->at(0, 0), want.id);
+              ++frames;
+              if (want.plane != nullptr) ++planes;
+            }
+          }
+        }
+        ASSERT_EQ(store.NumFramesAt(gen), frames) << "gen " << gen;
+        ASSERT_EQ(store.NumSatPlanesAt(gen), planes) << "gen " << gen;
+      }
+      // Every held view still shows what it saw when it was taken.
+      for (const HeldView& held : views) {
+        for (int l = 0; l < kLayers; ++l) {
+          for (int64_t ts = 0; ts < kTimesteps; ++ts) {
+            auto it = held.seen.find({l, ts});
+            const ModelEntry want =
+                it == held.seen.end() ? ModelEntry{} : it->second;
+            auto frame = held.view.FrameAt(l, ts);
+            ASSERT_EQ(frame.ok() ? *frame : nullptr, want.frame);
+            ASSERT_EQ(held.view.PlaneAt(l, ts), want.plane);
+            if (want.frame != nullptr) {
+              ASSERT_FLOAT_EQ((*frame)->at(0, 0), want.id);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lock-free read hammer (raced under TSan and ASan in CI): readers
+// take views of the published generation and read frames and planes
+// through them with no lock, while a publisher carries the window
+// forward, stages the next timestep, trims the oldest, flips, reclaims
+// the superseded generation (views of it may still be held) and every
+// few epochs rewrites a timestep of the generation readers are viewing.
+// Every read must see exactly the frame its (layer, t) was written with.
+TEST(PredictionStoreTest, HammerViewsDuringCarryForwardTrimAndReclaim) {
+  constexpr int64_t kH = 48, kW = 48;
+  constexpr int kLayers = 3;
+  constexpr int64_t kRetain = 6;
+  constexpr int64_t kEpochs = 150;
+  constexpr int kReaders = 3;
+  // Deterministic contents: (layer, t) is filled with one value, so a
+  // reader can check any cell and the plane's whole-frame sum.
+  const auto value_of = [](int layer, int64_t t) {
+    return static_cast<float>(t * 4 + layer);
+  };
+
+  PredictionStore store;
+  const auto stage = [&](int64_t generation, int64_t t) {
+    for (int layer = 1; layer <= kLayers; ++layer) {
+      ASSERT_TRUE(store
+                      .TrySyncFrameAt(generation, layer, t,
+                                      Tensor::Full({kH, kW}, value_of(layer, t)))
+                      .ok());
+      ASSERT_TRUE(store.TryBuildSatPlaneAt(generation, layer, t).ok());
+    }
+  };
+  stage(1, 0);
+  std::atomic<int64_t> published{1};
+  std::atomic<int64_t> published_latest{0};
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> bad_reads{0};
+  std::atomic<int64_t> good_reads{0};
+  std::atomic<int64_t> passes{0};  // reader passes over the window
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const int64_t latest = published_latest.load(std::memory_order_acquire);
+        const PredictionStore::View view =
+            store.ViewAt(published.load(std::memory_order_acquire));
+        for (int64_t t = latest - kRetain; t <= latest + 1; ++t) {
+          for (int layer = 1; layer <= kLayers; ++layer) {
+            auto frame = view.FrameAt(layer, t);
+            if (!frame.ok()) continue;  // reclaimed before the view
+            const float want = value_of(layer, t);
+            const TiledSatPlane* plane = view.PlaneAt(layer, t);
+            if ((*frame)->at(0, 0) != want ||
+                (*frame)->at(kH - 1, kW - 1) != want ||
+                (plane != nullptr &&
+                 plane->RectSum(0, 0, kH, kW) !=
+                     static_cast<double>(want) * kH * kW) ||
+                *view.FrameAt(layer, t) != *frame) {
+              bad_reads.fetch_add(1);
+            } else {
+              good_reads.fetch_add(1);
+            }
+          }
+        }
+        passes.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+
+  int64_t current = 1;
+  for (int64_t t = 1; t <= kEpochs; ++t) {
+    // Interleave: at least one reader pass per epoch, so the epochs race
+    // live views instead of finishing before the readers start.
+    while (passes.load(std::memory_order_acquire) < t) {
+      std::this_thread::yield();
+    }
+    const int64_t next = current + 1;
+    store.CopyGeneration(current, next, t - kRetain);
+    stage(next, t);
+    store.DropFramesBelow(next, t - kRetain + 1);
+    published.store(next, std::memory_order_release);
+    published_latest.store(t, std::memory_order_release);
+    if (t % 5 == 0) {
+      // Rewrite (same contents, fresh blocks) a timestep of the
+      // generation readers are viewing right now.
+      stage(next, t - 1);
+    }
+    store.DropGeneration(current);
+    current = next;
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(good_reads.load(), 0);
+  EXPECT_EQ(store.NumFramesAt(current), kRetain * kLayers);
 }
 
 }  // namespace

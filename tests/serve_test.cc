@@ -4,6 +4,7 @@
 // observe torn epochs while a writer publishes in a loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -16,6 +17,7 @@
 #include "model/one4all_net.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
+#include "query/topk_memo.h"
 #include "serve/serving_runtime.h"
 #include "test_util.h"
 
@@ -665,6 +667,121 @@ TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
     EXPECT_EQ(warm->rows[i]->value, cold->rows[i]->value);
   }
   runtime.Stop();
+}
+
+// A memo hit that proves no row clean runs the original top-k spec, as
+// a miss does (no sub-spec copying every region mask): rows and ranking
+// match a memo-free execution, and every row counts as re-evaluated.
+TEST(ServingRuntimeTest, TopKHitWithNoCleanRowRunsTheOriginalSpec) {
+  ServeFixture fixture = ServeFixture::Make();
+  ServingRuntimeOptions options = fixture.RuntimeOptions();
+  options.ingest.num_timesteps = 2;
+  options.ingest.manual_stepping = true;
+  // Shift every cell by a per-step offset, so each publish dirties every
+  // tile of every layer (the 16x16 raster is one tile per layer).
+  FrameInference truth = MakeGroundTruthInference(fixture.dataset.get());
+  FrameInference shifted =
+      [truth](int64_t t,
+              const TemporalInput& input) -> Result<std::vector<Tensor>> {
+    O4A_ASSIGN_OR_RETURN(std::vector<Tensor> frames, truth(t, input));
+    for (Tensor& frame : frames) {
+      for (int64_t i = 0; i < frame.numel(); ++i) {
+        frame.data()[i] += 0.25f * static_cast<float>(t % 3);
+      }
+    }
+    return frames;
+  };
+  ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                         &fixture.pipeline->index(), fixture.dataset.get(),
+                         std::move(shifted), options);
+  runtime.Start();
+  runtime.ingestor().GrantSteps(1);
+  ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
+  const int64_t t0 = options.ingest.start_t;
+  const int k = 3;
+  ASSERT_TRUE(runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0, k)).ok());
+
+  runtime.ingestor().GrantSteps(1);
+  ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(2));
+  const int64_t reused = runtime.topk_memo().rows_reused();
+  const int64_t reevaluated = runtime.topk_memo().rows_reevaluated();
+  auto warm =
+      runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0 + 1, k));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(runtime.topk_memo().rows_reused(), reused);
+  EXPECT_EQ(runtime.topk_memo().rows_reevaluated(),
+            reevaluated + static_cast<int64_t>(fixture.regions.size()));
+
+  runtime.topk_memo().Invalidate();
+  auto cold =
+      runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0 + 1, k));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(warm->kind, QuerySpecKind::kTopK);
+  EXPECT_EQ(warm->top_k, cold->top_k);
+  ASSERT_EQ(warm->rows.size(), cold->rows.size());
+  for (size_t i = 0; i < cold->rows.size(); ++i) {
+    ASSERT_EQ(warm->rows[i].ok(), cold->rows[i].ok());
+    if (cold->rows[i].ok()) {
+      EXPECT_EQ(warm->rows[i]->value, cold->rows[i]->value);
+    }
+  }
+  runtime.Stop();
+}
+
+// The word-level bounding box behind every top-k footprint matches a
+// per-cell scan on random masks: widths below, at and above one word and
+// not a multiple of 64, regions touching the last row or column, single
+// cells and empty masks.
+TEST(TopKMemoTest, MaskBoundsMatchPerCellScan) {
+  const auto reference = [](const GridMask& mask) {
+    int64_t r0 = mask.height(), r1 = 0, c0 = mask.width(), c1 = 0;
+    for (int64_t r = 0; r < mask.height(); ++r) {
+      for (int64_t c = 0; c < mask.width(); ++c) {
+        if (!mask.at(r, c)) continue;
+        r0 = std::min(r0, r);
+        r1 = std::max(r1, r + 1);
+        c0 = std::min(c0, c);
+        c1 = std::max(c1, c + 1);
+      }
+    }
+    return r1 <= r0 ? CellRect{0, 0, 0, 0} : CellRect{r0, c0, r1, c1};
+  };
+  const auto expect_same = [&](const GridMask& mask) {
+    const CellRect want = reference(mask);
+    const CellRect got = MaskBounds(mask);
+    EXPECT_EQ(got.r0, want.r0);
+    EXPECT_EQ(got.c0, want.c0);
+    EXPECT_EQ(got.r1, want.r1);
+    EXPECT_EQ(got.c1, want.c1);
+  };
+  Rng rng(41);
+  for (const int64_t w : {1, 3, 7, 31, 63, 64, 65, 100, 127, 128, 130, 200}) {
+    for (const int64_t h : {1, 2, 5, 17, 64}) {
+      SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w));
+      GridMask empty(h, w);
+      expect_same(empty);
+      GridMask corner(h, w);  // the very last cell
+      corner.Set(h - 1, w - 1, true);
+      expect_same(corner);
+      for (int trial = 0; trial < 8; ++trial) {
+        GridMask mask(h, w);
+        // A random rect, pinned to the last row and/or column half the
+        // time, plus a few scattered cells.
+        int64_t r0 = static_cast<int64_t>(rng.UniformInt(h));
+        int64_t c0 = static_cast<int64_t>(rng.UniformInt(w));
+        int64_t r1 = r0 + 1 + static_cast<int64_t>(rng.UniformInt(h - r0));
+        int64_t c1 = c0 + 1 + static_cast<int64_t>(rng.UniformInt(w - c0));
+        if (trial % 2 == 0) r1 = h;
+        if (trial % 4 < 2) c1 = w;
+        if (trial != 7) mask.FillRect(r0, c0, r1, c1);
+        for (int i = 0; i < trial; ++i) {
+          mask.Set(static_cast<int64_t>(rng.UniformInt(h)),
+                   static_cast<int64_t>(rng.UniformInt(w)), true);
+        }
+        expect_same(mask);
+      }
+    }
+  }
 }
 
 // The memo keys on the spec's knobs and per-region fingerprints: the
