@@ -35,8 +35,8 @@ enum class SpanName : uint8_t {
   kBuildSatPlane = 12, ///< one SAT plane build (arg: layer)
   kPublish = 13,       ///< atomic epoch flip
   kReclaim = 14,       ///< root: one generation reclaim (arg: generation)
-  kShardScatter = 15,  ///< per-shard term evaluation fan-out (arg: #terms)
-  kShardGather = 16,   ///< cross-shard merge + canonical fold (arg: #rows)
+  // 15 and 16 are retired (a sharded scatter and merge stage); sharded
+  // queries emit the kResolve/kGather/kFold/kRank spans above.
   kBarrierWait = 17,   ///< cross-shard epoch pin, incl. seqlock retries
   kTileSatFixup = 18,  ///< incremental tiled-SAT rebuild (arg: dirty tiles)
 };

@@ -11,8 +11,19 @@
 
 namespace one4all {
 
-namespace query_internal {
+namespace {
 
+/// \brief Outcome of the resolve stage for one distinct region.
+struct SlotResolution {
+  Result<std::shared_ptr<const ResolvedQuery>> resolved =
+      Status::Internal("slot not resolved");
+  bool cache_hit = false;
+  double probe_micros = 0.0;
+};
+
+/// \brief The aggregation fold shared by both gather interpreters.
+/// Left-to-right accumulation in series order — part of the
+/// bit-exactness contract.
 double FoldSeries(const std::vector<double>& series, TimeAggregation agg) {
   switch (agg) {
     case TimeAggregation::kSum:
@@ -33,10 +44,13 @@ double FoldSeries(const std::vector<double>& series, TimeAggregation agg) {
   return 0.0;
 }
 
-QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
-                      bool keep_series, const ResolvedQuery& rq,
-                      bool cache_hit, double probe_micros,
-                      double eval_micros, TraceContext* trace) {
+/// \brief Builds one result row from its gathered series plus the
+/// resolution's accounting — the one place both gather interpreters fill
+/// row bookkeeping, so they cannot diverge when QueryRow grows a field.
+QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
+                 bool keep_series, const ResolvedQuery& rq,
+                 const SlotResolution& slot, double eval_micros,
+                 TraceContext* trace) {
   QueryRow row;
   {
     ScopedSpan fold_span(trace, SpanName::kFold,
@@ -46,12 +60,12 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
   if (keep_series) row.series = series;
   row.num_pieces = rq.num_pieces;
   row.num_terms = static_cast<int>(rq.terms.size());
-  row.from_cache = cache_hit;
+  row.from_cache = slot.cache_hit;
   row.eval_micros = eval_micros;
-  if (cache_hit) {
+  if (slot.cache_hit) {
     // Decompose + index were skipped; report the actual resolve-path
     // latency (the cache lookup).
-    row.response_micros = probe_micros;
+    row.response_micros = slot.probe_micros;
   } else {
     row.decompose_micros = rq.decompose_micros;
     row.index_micros = rq.index_micros;
@@ -60,6 +74,8 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
   return row;
 }
 
+/// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
+/// is a kTopK spec). Ties break toward the lower row index.
 void RankTopK(const QueryPlan& plan, TraceContext* trace,
               QueryResult* result) {
   if (plan.spec.kind != QuerySpecKind::kTopK) return;
@@ -84,27 +100,6 @@ void RankTopK(const QueryPlan& plan, TraceContext* trace,
   order.resize(k);
   result->top_k = std::move(order);
   result->timings.rank_micros = stage_timer.ElapsedMicros();
-}
-
-}  // namespace query_internal
-
-namespace {
-
-/// \brief Outcome of the resolve stage for one distinct region.
-struct SlotResolution {
-  Result<std::shared_ptr<const ResolvedQuery>> resolved =
-      Status::Internal("slot not resolved");
-  bool cache_hit = false;
-  double probe_micros = 0.0;
-};
-
-QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
-                 bool keep_series, const ResolvedQuery& rq,
-                 const SlotResolution& slot, double eval_micros,
-                 TraceContext* trace) {
-  return query_internal::MakeQueryRow(series, agg, keep_series, rq,
-                                      slot.cache_hit, slot.probe_micros,
-                                      eval_micros, trace);
 }
 
 // -- SAT fast path ----------------------------------------------------------
@@ -150,8 +145,6 @@ const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
 /// (far past serving admission budgets) take the exact path instead.
 constexpr int64_t kMaxFastPathGathers = int64_t{1} << 20;
 
-using query_internal::RankTopK;
-
 }  // namespace
 
 QueryExecutor::QueryExecutor(const RegionQueryServer* server)
@@ -161,6 +154,23 @@ QueryExecutor::QueryExecutor(const RegionQueryServer* server)
 
 QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                                    const QueryExecutorOptions& options) const {
+  std::vector<GatherBand> bands(1);
+  bands[0].store = server_->store();
+  bands[0].generation = options.generation;
+  bands[0].cache = options.cache;
+  return Execute(plan, bands, nullptr, options);
+}
+
+QueryResult QueryExecutor::Execute(const QueryPlan& plan,
+                                   const std::vector<GatherBand>& bands,
+                                   const ShardMap* map,
+                                   const QueryExecutorOptions& options) const {
+  O4A_CHECK(!bands.empty());
+  // One band covers the raster and needs no map; several are the map's
+  // shards.
+  if (bands.size() == 1) map = nullptr;
+  O4A_CHECK(map == nullptr ||
+            static_cast<size_t>(map->num_shards()) == bands.size());
   Stopwatch total_timer;
   QueryResult result;
   result.kind = plan.spec.kind;
@@ -186,11 +196,14 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             SlotResolution& slot = slots[static_cast<size_t>(s)];
             const GridMask& region =
                 plan.RegionForSlot(static_cast<int>(s));
+            const GatherBand& home =
+                bands[map == nullptr ? 0 : static_cast<size_t>(
+                                               map->HomeShard(region))];
             ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
-                plan.FingerprintForSlot(static_cast<int>(s)), options.cache,
+                plan.FingerprintForSlot(static_cast<int>(s)), home.cache,
                 &slot.cache_hit);
             // Captured before evaluation so a hit reports only the
             // resolve-path latency, comparable to decompose+index.
@@ -200,7 +213,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
         });
   }
   result.timings.resolve_micros = stage_timer.ElapsedMicros();
-  if (options.cache != nullptr) {
+  if (bands.front().cache != nullptr) {
     for (const SlotResolution& slot : slots) {
       if (!slot.resolved.ok()) continue;
       if (slot.cache_hit) {
@@ -213,15 +226,22 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
 
   // -- Stage 2: epoch-pinned frame gather + aggregation fold -------------
   stage_timer.Restart();
-  // The one store lock section of the gather: every frame and plane read
-  // below is a lock-free lookup in this view of the pinned generation.
-  const PredictionStore::View view =
-      server_->store()->ViewAt(options.generation);
+  // The store lock sections of the gather, one per band: every frame and
+  // plane read below is a lock-free lookup in these views of the pinned
+  // generations.
+  std::vector<PredictionStore::View> views;
+  views.reserve(bands.size());
+  for (const GatherBand& band : bands) {
+    views.push_back(band.store->ViewAt(band.generation));
+  }
   const bool keep_series =
       plan.spec.keep_series && !plan.spec.time.IsPoint();
 
-  if (plan.path == EvalPath::kSatFastPath &&
+  // The fast path's rects and residues address the whole raster, so it
+  // serves single-band plans; multi-band plans take the exact loop.
+  if (plan.path == EvalPath::kSatFastPath && map == nullptr &&
       plan.num_point_queries() <= kMaxFastPathGathers) {
+    const PredictionStore::View& view = views[0];
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
     // Fast path, phase 1: collect every (layer, t) the plan touches and
@@ -412,6 +432,10 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
     return result;
   }
 
+  // Exact cell loop: every term is read in place from its owner band's
+  // frame and folded in term order, so a row's value and its failure
+  // (first failing term of the first failing timestep) do not depend on
+  // the band count.
   ScopedSpan gather_span(options.trace, SpanName::kGather,
                          plan.num_point_queries());
 
@@ -421,7 +445,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       [&](int64_t begin, int64_t end) {
         TraceContext shard_trace;
         if (options.trace != nullptr) shard_trace = *options.trace;
-        query_internal::FrameMemo memo(&view);
+        query_internal::FrameMemo memo(&views, map);
         std::vector<double> series;
         for (int64_t i = begin; i < end; ++i) {
           const PlanRow& planned = plan.rows[static_cast<size_t>(i)];
@@ -454,6 +478,11 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
           result.rows[static_cast<size_t>(i)] =
               MakeRow(series, plan.spec.aggregation, keep_series, rq,
                       slot, eval_micros, &shard_trace);
+        }
+        for (size_t k = 0; k < bands.size(); ++k) {
+          if (bands[k].term_reads != nullptr) {
+            bands[k].term_reads->fetch_add(memo.term_reads(k));
+          }
         }
       });
   gather_span.Close();

@@ -9,17 +9,31 @@
 // with four-corner plane reads plus a columnar residue sweep. Per-row
 // failures surface as that row's Status; stage wall times land in the
 // structured QueryResult.
+//
+// Frames are read from a list of row bands (GatherBand): one band
+// covering the raster for a single store, or one band per shard of a
+// ShardMap for a sharded fleet. Bands change only where a term's cell
+// is read from, never the algorithm: each region resolves through its
+// home band's cache, and the exact cell loop reads every term from its
+// owner band's frame and folds terms in the same left-to-right order on
+// any band count, so N-band answers are bit-identical to one band's
+// (failure statuses and top-k tie order included). The SAT fast path
+// serves single-band plans; multi-band plans take the exact loop.
 #ifndef ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 #define ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 
 #include <vector>
 
+#include "kvstore/prediction_store.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/query_planner.h"
 #include "query/query_server.h"
 #include "query/query_spec.h"
 
 namespace one4all {
+
+class ShardMap;
 
 /// \brief Execution knobs of one plan execution.
 struct QueryExecutorOptions {
@@ -83,45 +97,45 @@ struct QueryResult {
   int64_t cache_misses = 0;
 };
 
+/// \brief One row band of the raster a plan gathers from.
+struct GatherBand {
+  /// The band's store and its pinned generation; the gather stage takes
+  /// one View of it per execution. Must outlive the call.
+  const PredictionStore* store = nullptr;
+  int64_t generation = 0;
+  /// Resolve cache of the regions homed on this band (null: resolve
+  /// uncached). Every band of one execution has a cache, or none does.
+  ResolvedQueryCache* cache = nullptr;
+  /// Counts the term cells the exact loop reads from this band, one per
+  /// (row, term, timestep), when the plan spans several bands; null
+  /// counts nothing.
+  Counter* term_reads = nullptr;
+};
+
 /// \brief Interprets QueryPlans. Stateless; cheap to construct per call.
 class QueryExecutor {
  public:
   /// \param server Must outlive the executor.
   explicit QueryExecutor(const RegionQueryServer* server);
 
-  /// \brief Runs every stage of `plan`. The result is total: per-row
-  /// failures are inside rows[i], never a thrown batch failure.
+  /// \brief Runs every stage of `plan` over the server's store as one
+  /// band (options.generation, options.cache). The result is total:
+  /// per-row failures are inside rows[i], never a thrown batch failure.
   QueryResult Execute(const QueryPlan& plan,
                       const QueryExecutorOptions& options = {}) const;
+
+  /// \brief Runs every stage of `plan` over `bands`: one band covering
+  /// the raster (`map` unused), or band k holding `map`'s shard-k rows.
+  /// options.generation and options.cache are unused; each band brings
+  /// its own generation and cache.
+  QueryResult Execute(const QueryPlan& plan,
+                      const std::vector<GatherBand>& bands,
+                      const ShardMap* map,
+                      const QueryExecutorOptions& options) const;
 
  private:
   const RegionQueryServer* server_;
 };
-
-namespace query_internal {
-
-/// \brief The aggregation fold shared by every gather interpreter
-/// (exact cell loop, SAT fast path, sharded scatter-gather). Left-to-
-/// right accumulation in series order — part of the bit-exactness
-/// contract, so no caller may re-fold with a different association.
-double FoldSeries(const std::vector<double>& series, TimeAggregation agg);
-
-/// \brief Builds one result row from its gathered series plus the
-/// resolution's accounting — the one place every gather interpreter
-/// fills row bookkeeping, so the paths cannot diverge when QueryRow
-/// grows a field. `cache_hit`/`probe_micros` describe the resolve-cache
-/// probe that produced `rq`.
-QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
-                      bool keep_series, const ResolvedQuery& rq,
-                      bool cache_hit, double probe_micros,
-                      double eval_micros, TraceContext* trace);
-
-/// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
-/// is a kTopK spec). Ties break toward the lower row index.
-void RankTopK(const QueryPlan& plan, TraceContext* trace,
-              QueryResult* result);
-
-}  // namespace query_internal
 
 }  // namespace one4all
 

@@ -221,7 +221,7 @@ void TopKMemo::Store(
 
 std::vector<int> TopKMemo::RankRows(const std::vector<Result<QueryRow>>& rows,
                                     int k) {
-  // Mirrors query_internal::RankTopK exactly: value descending, ties
+  // Mirrors the QueryExecutor's RankTopK exactly: value descending, ties
   // toward the lower row index, failed rows skipped, clamped to k.
   std::vector<int> order;
   order.reserve(rows.size());

@@ -6,7 +6,6 @@
 #include "core/logging.h"
 #include "core/stopwatch.h"
 #include "query/query_planner.h"
-#include "shard/shard_executor.h"
 
 namespace one4all {
 
@@ -154,11 +153,9 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   // footprint. Clean rows carry their value over; only churned rows are
   // re-gathered (as a multi-region sub-spec; when no row is clean, the
   // original spec runs whole), and the ranking is re-sorted over the
-  // merged set. Unsharded only for now — the sharded barrier does not
-  // feed the memo (see ROADMAP).
-  const bool memo_eligible = shards_ == nullptr &&
-                             kind == QuerySpecKind::kTopK &&
-                             spec.time.IsPoint();
+  // merged set.
+  const bool memo_eligible =
+      kind == QuerySpecKind::kTopK && spec.time.IsPoint();
   TopKMemo::Probe probe;
   std::vector<int> stale_rows;
   bool all_rows_stale = false;  // a hit that proved no row clean
@@ -265,34 +262,38 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   }
 
   QueryResult result;
-  if (shards_ != nullptr) {
-    // The barrier edition of the epoch pin: the pin set's shards all
-    // serve one timestep, so a time-range answer can never mix two
-    // barrier flips' frames — across shards or within one.
-    ShardPinSet pins = shards_->PinAll(&trace_ctx);
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
-                        pins.generation(0));
-    pin_span.Close();
-    ShardExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.trace = &trace_ctx;
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    result = ShardExecutor(server_.get(), shards_.get())
-                 .Execute(*plan, pins, exec_options);
-  } else {
+  {
     // One pinned epoch covers every frame gather of the plan, so a
-    // time-range answer can never mix two epochs' frames.
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
-    EpochGuard epoch = epochs_.Pin();
-    pin_span.set_arg(epoch.generation());
-    pin_span.Close();
+    // time-range answer can never mix two epochs' frames. Sharded, the
+    // barrier's pin set has every shard serve one timestep, so it cannot
+    // mix them across shards either.
+    EpochGuard epoch;
+    ShardPinSet pins;
+    std::vector<GatherBand> bands;
+    if (shards_ != nullptr) {
+      pins = shards_->PinAll(&trace_ctx);
+      ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
+                          pins.generation(0));
+      pin_span.Close();
+      bands = shards_->Bands(pins);
+    } else {
+      ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
+      epoch = epochs_.Pin();
+      pin_span.set_arg(epoch.generation());
+      pin_span.Close();
+      bands.resize(1);
+      bands[0].store = &store_;
+      bands[0].generation = epoch.generation();
+      bands[0].cache = &cache_;
+    }
     QueryExecutorOptions exec_options;
     exec_options.num_threads = options_.num_query_threads;
-    exec_options.cache = &cache_;
-    exec_options.generation = epoch.generation();
     exec_options.trace = &trace_ctx;
     std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    result = QueryExecutor(server_.get()).Execute(*plan, exec_options);
+    result = QueryExecutor(server_.get())
+                 .Execute(*plan, bands,
+                          shards_ != nullptr ? &shards_->map() : nullptr,
+                          exec_options);
   }
   if (probe.hit) {
     // Merge: memoized clean rows + freshly gathered churned rows, then

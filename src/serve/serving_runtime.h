@@ -51,7 +51,8 @@ struct ServingRuntimeOptions {
   /// grid into that many contiguous row-band shards (shard/shard_map.h),
   /// each with its own store, epoch manager and resolve cache; the
   /// ingestor publishes all bands behind one epoch barrier and queries
-  /// scatter-gather across them (results stay bit-identical to N=1).
+  /// read each term from its owner band (results stay bit-identical to
+  /// N=1).
   /// Clamped to the atomic grid height.
   int num_shards = 1;
   StreamIngestorOptions ingest;
@@ -200,7 +201,7 @@ class ServingRuntime {
   std::unique_ptr<RegionQueryServer> server_;
 
   /// Non-null iff options.num_shards > 1; then the ingestor publishes
-  /// through the barrier and queries scatter-gather (the single
+  /// through the barrier and queries gather from its bands (the single
   /// store_/epochs_ pair above stays idle).
   std::unique_ptr<ShardSet> shards_;
   /// The ingestor's publish seam: forwards to the real sink (epochs_ or

@@ -1,39 +1,35 @@
-// Scatter-gather interpretation of QueryPlans over a ShardSet: resolve
-// each distinct region once at its home shard (per-shard resolve cache),
-// scatter the resolved combination terms to their owning shards for
-// parallel band-local frame reads, then merge centrally by re-folding
-// every row's per-term values in canonical term order. The merge is the
-// bit-exactness contract: shards return raw per-(term, t) floats — never
-// partial sums — and the central fold accumulates them exactly like the
-// single-shard exact cell loop (FrameMemo::Evaluate's left-to-right
-// `acc += sign * value`), so N-shard results are bit-identical to N=1
-// for every spec shape, including top-k tie order.
+// Adapter from a pinned shard fleet to the one plan interpreter: builds
+// one QueryExecutor gather band per shard (its store at the pin set's
+// generation for it, its resolve cache and its term-read counter) and
+// runs the plan through QueryExecutor. Bands change only which
+// store a term's cell is read from, so N-shard answers are bit-identical
+// to N=1 for every spec shape, top-k tie order and failure statuses
+// included.
 #ifndef ONE4ALL_SHARD_SHARD_EXECUTOR_H_
 #define ONE4ALL_SHARD_SHARD_EXECUTOR_H_
 
-#include <vector>
-
 #include "query/query_executor.h"
 #include "query/query_planner.h"
-#include "shard/shard_router.h"
 #include "shard/shard_set.h"
 
 namespace one4all {
 
 /// \brief Execution knobs, mirroring QueryExecutorOptions minus the
-/// generation (a cross-shard pin carries one generation per shard).
+/// generation and cache (a cross-shard pin carries one generation per
+/// shard, and each shard brings its own cache).
 struct ShardExecutorOptions {
-  /// Worker threads for the scatter fan-out (RunSharded semantics:
-  /// 1 = calling thread, 0 = shared pool, > 1 = per-call pool).
+  /// Worker threads (QueryExecutorOptions semantics: 1 = calling thread,
+  /// 0 = shared pool, > 1 = per-call pool).
   int num_threads = 1;
   ThreadPool* pool = nullptr;
-  /// Open trace of the enclosing query; emits kResolve/kShardScatter/
-  /// kShardGather (and nested) stage spans. Null traces nothing.
+  /// Open trace of the enclosing query; emits the same kResolve/kGather/
+  /// kFold/kRank (and nested) stage spans as an unsharded execution.
+  /// Null traces nothing.
   TraceContext* trace = nullptr;
 };
 
-/// \brief Interprets QueryPlans against N band shards. Stateless beyond
-/// its wiring; cheap to construct per call.
+/// \brief Runs QueryPlans against N band shards. Stateless beyond its
+/// wiring; cheap to construct per call.
 class ShardExecutor {
  public:
   /// \param server Resolution surface (hierarchy + index; its store is
@@ -51,7 +47,6 @@ class ShardExecutor {
  private:
   const RegionQueryServer* server_;
   ShardSet* shards_;
-  ShardRouter router_;
 };
 
 }  // namespace one4all

@@ -61,6 +61,19 @@ int ShardMap::OwnerOf(const GridId& id) const {
   return OwnerOfAtomicRow(anchor);
 }
 
+int ShardMap::HomeShard(const GridMask& region) const {
+  // The first set cell in row-major order is the lowest set bit of the
+  // first nonzero packed word: a word scan, not a cell-by-cell sweep.
+  const std::vector<uint64_t>& words = region.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == 0) continue;
+    const int64_t cell =
+        static_cast<int64_t>(i) * 64 + __builtin_ctzll(words[i]);
+    return OwnerOfAtomicRow(cell / region.width());
+  }
+  return 0;  // empty region (planner validation rejects these)
+}
+
 const ShardLayerSlice& ShardMap::SliceOf(int shard, int layer) const {
   O4A_DCHECK(shard >= 0 && shard < num_shards_);
   O4A_DCHECK(layer >= 1 && layer <= hierarchy_->num_layers());

@@ -55,6 +55,12 @@ class ShardMap {
   /// the cell's anchor atomic row (id.row * layer scale).
   int OwnerOf(const GridId& id) const;
 
+  /// \brief The shard holding a region's cached resolution: the owner of
+  /// the region's first set atomic row. Any deterministic choice works
+  /// (resolution never reads frames); tying it to the region's top edge
+  /// spreads cache capacity across shards for spread-out workloads.
+  int HomeShard(const GridMask& region) const;
+
   /// \brief Layer-l row slice owned by shard k.
   const ShardLayerSlice& SliceOf(int shard, int layer) const;
 

@@ -11,27 +11,7 @@ ShardRouter::ShardRouter(const ShardMap* map) : map_(map) {
 }
 
 int ShardRouter::HomeShard(const GridMask& region) const {
-  // The first set cell in row-major order is the lowest set bit of the
-  // first nonzero packed word: a word scan, not a cell-by-cell sweep.
-  const std::vector<uint64_t>& words = region.words();
-  for (size_t i = 0; i < words.size(); ++i) {
-    if (words[i] == 0) continue;
-    const int64_t cell =
-        static_cast<int64_t>(i) * 64 + __builtin_ctzll(words[i]);
-    return map_->OwnerOfAtomicRow(cell / region.width());
-  }
-  return 0;  // empty region (planner validation rejects these)
-}
-
-std::vector<std::vector<int32_t>> ShardRouter::ScatterTerms(
-    const std::vector<CombinationTerm>& terms) const {
-  std::vector<std::vector<int32_t>> scattered(
-      static_cast<size_t>(map_->num_shards()));
-  for (size_t i = 0; i < terms.size(); ++i) {
-    scattered[static_cast<size_t>(map_->OwnerOf(terms[i].grid))].push_back(
-        static_cast<int32_t>(i));
-  }
-  return scattered;
+  return map_->HomeShard(region);
 }
 
 std::string ShardRouter::DescribeSplit(const QueryPlan& plan) const {

@@ -37,8 +37,8 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
                              labels, &s.frames_staged);
     registry.RegisterCounter(
         "one4all_shard_terms_evaluated",
-        "Scattered combination terms this shard evaluated", labels,
-        &s.terms_evaluated);
+        "Term cells read from this shard, per (row, term, timestep)",
+        labels, &s.terms_evaluated);
     registry.RegisterCallbackGauge(
         "one4all_shard_publish_lag_ms",
         "Milliseconds since this shard's last epoch flip", labels,
@@ -209,6 +209,18 @@ void ShardSet::SetWriteFault(Status fault) {
 
 void ShardSet::ClearWriteFault() {
   for (const auto& s : shards_) s->store.ClearWriteFault();
+}
+
+std::vector<GatherBand> ShardSet::Bands(const ShardPinSet& pins) {
+  std::vector<GatherBand> bands(shards_.size());
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    Shard& s = *shards_[k];
+    bands[k].store = &s.store;
+    bands[k].generation = pins.generation(static_cast<int>(k));
+    bands[k].cache = &s.cache;
+    bands[k].term_reads = &s.terms_evaluated;
+  }
+  return bands;
 }
 
 void ShardSet::InvalidateCaches() {

@@ -9,11 +9,11 @@
 // pin set never mixes two timesteps between shards, verified by a
 // latest_t coherence check whose violations are counted, never silent.
 //
-// The merge layer above this (shard/shard_executor.h) is transport-
-// agnostic on purpose: shards are in-process threads today, but nothing
-// in the scatter/gather protocol assumes shared memory beyond the
-// per-shard store reads, so a multi-process split swaps the store
-// access, not the algorithm.
+// Readers see the fleet as QueryExecutor gather bands (Bands): each
+// shard's store at its pinned generation, plus the shard's resolve
+// cache. The executor reads each term from its owner band, so a
+// multi-process split would swap how a band's cells are read, not the
+// algorithm.
 #ifndef ONE4ALL_SHARD_SHARD_SET_H_
 #define ONE4ALL_SHARD_SHARD_SET_H_
 
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "kvstore/prediction_store.h"
+#include "query/query_executor.h"
 #include "query/resolved_query_cache.h"
 #include "serve/epoch_manager.h"
 #include "serve/epoch_sink.h"
@@ -35,9 +36,9 @@ struct ShardSetOptions {
   /// Per-shard FrameEpochManagerOptions::retain_timesteps.
   int64_t retain_timesteps = 0;
   /// Stage a summed-area plane with every band slice (per-shard planes
-  /// cover the shard's rows; the sharded executor's exact path does not
-  /// read them, but parity with the single-shard store layout keeps the
-  /// storage costs honest).
+  /// cover the shard's rows; multi-band plans take the exact loop, which
+  /// does not read them, but parity with the single-shard store layout
+  /// keeps the storage costs honest).
   bool build_sat_planes = true;
   /// Per-shard resolve cache geometry (capacity is per shard, so N
   /// shards hold N x capacity distinct resolutions).
@@ -61,6 +62,8 @@ struct Shard {
   // runtime's registry when telemetry is wired).
   Counter epochs_published;
   Counter frames_staged;
+  /// Term cells the executor read from this shard's frames, one per
+  /// (row, term, timestep).
   Counter terms_evaluated;
   /// Nanos-since-ShardSet-birth of the last flip; -1 before the first.
   std::atomic<int64_t> last_publish_nanos{-1};
@@ -124,6 +127,11 @@ class ShardSet : public EpochSink {
   /// counted in torn_pins() and retried rather than returned. Emits a
   /// kBarrierWait span (arg: retries) under `trace` when non-null.
   ShardPinSet PinAll(TraceContext* trace = nullptr);
+
+  /// \brief The fleet as QueryExecutor gather bands under `pins` (band k
+  /// = shard k: its store at its pinned generation, its resolve cache
+  /// and its terms_evaluated counter). Valid while the set lives.
+  std::vector<GatherBand> Bands(const ShardPinSet& pins);
 
   int num_shards() const { return map_.num_shards(); }
   Shard& shard(int k) { return *shards_[static_cast<size_t>(k)]; }

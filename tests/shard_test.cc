@@ -1,14 +1,15 @@
 // Tests for the sharded serving subsystem (src/shard): band-partition
 // geometry, the two-phase epoch barrier (including the TSan-hammered
 // concurrent publish-vs-pin loop), abort-all staging under injected
-// write faults — and the headline contract: N-shard scatter-gather
-// answers are bit-identical to the single-shard path for every spec
-// shape, straddling regions and top-k tie order included.
+// write faults — and the headline contract: N-shard answers are
+// bit-identical to the single-shard path for every spec shape,
+// straddling regions, top-k tie order and failure statuses included.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -543,6 +544,198 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
   EXPECT_NE(exposition.find("one4all_shard_torn_pins"), std::string::npos);
   EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
   EXPECT_TRUE(runtime->CrossShardConsistent());
+}
+
+// A runtime over the fixture's test window with its own inference and
+// trace sink (null: the global recorder), for tests that need either.
+std::unique_ptr<ServingRuntime> MakeShardRuntime(const ShardFixture& fixture,
+                                                 int num_shards,
+                                                 FrameInference inference,
+                                                 TraceRecorder* trace) {
+  const std::vector<int64_t>& test = fixture.dataset->test_indices();
+  ServingRuntimeOptions options;
+  options.ingest.start_t = test.front();
+  options.ingest.num_timesteps = static_cast<int64_t>(test.size());
+  options.num_shards = num_shards;
+  options.trace = trace;
+  auto runtime = std::make_unique<ServingRuntime>(
+      &fixture.dataset->hierarchy(), &fixture.pipeline->index(),
+      fixture.dataset.get(), std::move(inference), options);
+  runtime->Start();
+  EXPECT_TRUE(runtime->ingestor().WaitUntilPublished(test.back()));
+  return runtime;
+}
+
+// Failure parity inside a row's window: a time range from the newest
+// published timestep into unpublished ones serves its first step, then
+// fails at the first failing term of the first unpublished step — with
+// the same status on every topology.
+TEST(ShardParityTest, RangeIntoUnpublishedStepsFailsAlikeAcrossShardCounts) {
+  ShardFixture fixture = ShardFixture::Make();
+  auto single = fixture.MakeRuntime(1);
+  const int64_t newest = fixture.dataset->test_indices().back();
+  ASSERT_EQ(single->published_latest_t(), newest);
+  for (int num_shards : {2, 3}) {
+    auto sharded = fixture.MakeRuntime(num_shards);
+    ASSERT_EQ(sharded->published_latest_t(), newest);
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    for (const GridMask& region : fixture.regions) {
+      auto sr = single->ExecuteSpec(QuerySpec::TimeRange(
+          region, newest, newest + 2, TimeAggregation::kSum));
+      auto hr = sharded->ExecuteSpec(QuerySpec::TimeRange(
+          region, newest, newest + 2, TimeAggregation::kSum));
+      ASSERT_TRUE(sr.ok() && hr.ok());
+      ASSERT_EQ(sr->rows.size(), 1u);
+      ASSERT_EQ(hr->rows.size(), 1u);
+      ASSERT_FALSE(sr->rows[0].ok());
+      EXPECT_EQ(sr->rows[0].status().code(), StatusCode::kNotFound);
+      EXPECT_EQ(hr->rows[0].status().ToString(),
+                sr->rows[0].status().ToString());
+    }
+    sharded->Stop();
+  }
+}
+
+// Multi-band plans run the exact cell loop: a kSatFastPath spec on a
+// 3-shard runtime answers bit-identically to N=1's exact loop, and so
+// within 1e-9 of N=1's fast path.
+TEST(ShardParityTest, FastPathSpecRunsTheExactLoopWhenSharded) {
+  ShardFixture fixture = ShardFixture::Make();
+  auto single = fixture.MakeRuntime(1);
+  auto sharded = fixture.MakeRuntime(3);
+  ASSERT_EQ(sharded->num_shards(), 3);
+  const int64_t t0 = fixture.dataset->test_indices().front();
+
+  auto run = [&](ServingRuntime* runtime, QuerySpec spec, EvalPath path) {
+    spec.eval_path = path;
+    auto result = runtime->ExecuteSpec(std::move(spec));
+    EXPECT_TRUE(result.ok());
+    return result.MoveValueUnsafe();
+  };
+  QuerySpec range =
+      QuerySpec::TimeRange(fixture.regions.back(), t0, t0 + 5,
+                           TimeAggregation::kMean);
+  range.keep_series = true;
+  for (const QuerySpec& spec :
+       {QuerySpec::MultiRegion(fixture.regions, t0 + 2), range}) {
+    const QueryResult exact =
+        run(single.get(), spec, EvalPath::kExactCellLoop);
+    const QueryResult fast = run(single.get(), spec, EvalPath::kSatFastPath);
+    const QueryResult shard_fast =
+        run(sharded.get(), spec, EvalPath::kSatFastPath);
+    ExpectBitExactRows(exact, shard_fast, "sharded fast-path spec");
+    ASSERT_EQ(fast.rows.size(), shard_fast.rows.size());
+    for (size_t i = 0; i < fast.rows.size(); ++i) {
+      ASSERT_TRUE(fast.rows[i].ok() && shard_fast.rows[i].ok());
+      EXPECT_NEAR(shard_fast.rows[i]->value, fast.rows[i]->value,
+                  1e-9 * (1.0 + std::abs(fast.rows[i]->value)))
+          << "row " << i;
+    }
+  }
+  sharded->Stop();
+}
+
+// The top-k memo serves sharded runtimes too: the barrier hands
+// TopKMemo::OnPublish the full-raster dirty sets, so a subscription
+// re-issued at t..t+3 carries the same rows over on every topology and
+// still answers bit-identically to N=1.
+TEST(ShardParityTest, TopKSubscriptionReusesRowsAcrossShardCounts) {
+  ShardFixture fixture = ShardFixture::Make();
+  const std::vector<int64_t>& test = fixture.dataset->test_indices();
+  ASSERT_GE(test.size(), 4u);
+  const int64_t start = test.front();
+  // Every truth frame is served for two timesteps in a row, so each
+  // second publish dirties nothing and the memo can prove rows clean.
+  const FrameInference truth = MakeGroundTruthInference(fixture.dataset.get());
+  const FrameInference paired =
+      [truth, start](int64_t t, const TemporalInput& input) {
+        return truth(t - (t - start) % 2, input);
+      };
+  // The newest even-offset window of four steps: its publishes are all
+  // inside the memo's history.
+  const int64_t t0 =
+      start + ((static_cast<int64_t>(test.size()) - 4) & ~int64_t{1});
+  const int k = 4;
+
+  auto single = MakeShardRuntime(fixture, 1, paired, nullptr);
+  std::vector<QueryResult> expected;
+  for (int64_t t = t0; t <= t0 + 3; ++t) {
+    auto result = single->ExecuteSpec(QuerySpec::TopK(fixture.regions, t, k));
+    ASSERT_TRUE(result.ok());
+    expected.push_back(result.MoveValueUnsafe());
+  }
+  for (int num_shards : {2, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto sharded = MakeShardRuntime(fixture, num_shards, paired, nullptr);
+    ASSERT_TRUE(sharded->sharded());
+    for (int64_t t = t0; t <= t0 + 3; ++t) {
+      auto result =
+          sharded->ExecuteSpec(QuerySpec::TopK(fixture.regions, t, k));
+      ASSERT_TRUE(result.ok());
+      ExpectBitExactRows(expected[static_cast<size_t>(t - t0)], *result,
+                         "topk subscription");
+    }
+    EXPECT_GT(sharded->topk_memo().rows_reused(), 0);
+    EXPECT_EQ(sharded->topk_memo().rows_reused(),
+              single->topk_memo().rows_reused());
+    EXPECT_EQ(sharded->topk_memo().rows_reevaluated(),
+              single->topk_memo().rows_reevaluated());
+    sharded->Stop();
+  }
+  single->Stop();
+}
+
+// Sharded queries are traced like unsharded ones: the same query-path
+// stage spans (plus the barrier's pin wait), none of the retired
+// scatter/merge span values, and every band's term reads counted.
+TEST(ShardParityTest, ShardedQueriesEmitTheUnshardedStageSpans) {
+  ShardFixture fixture = ShardFixture::Make();
+  const int64_t t = fixture.dataset->test_indices().front();
+  std::set<int> unsharded_names;
+  for (int num_shards : {1, 3}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    TraceRecorderOptions trace_options;
+    trace_options.sample_every_n = 1;
+    TraceRecorder recorder(trace_options);
+    auto runtime = MakeShardRuntime(
+        fixture, num_shards, MakeGroundTruthInference(fixture.dataset.get()),
+        &recorder);
+    auto result =
+        runtime->ExecuteSpec(QuerySpec::TopK(fixture.regions, t, 3));
+    ASSERT_TRUE(result.ok());
+    std::set<int> names;
+    for (const TraceEvent& event : recorder.Snapshot()) {
+      if (event.category == static_cast<uint8_t>(SpanCategory::kQuery)) {
+        names.insert(event.name);
+      }
+    }
+    for (SpanName stage : {SpanName::kQuery, SpanName::kPlan,
+                           SpanName::kEpochPin, SpanName::kResolve,
+                           SpanName::kCacheProbe, SpanName::kGather,
+                           SpanName::kFold, SpanName::kRank}) {
+      EXPECT_EQ(names.count(static_cast<int>(stage)), 1u)
+          << SpanNameString(stage);
+    }
+    EXPECT_EQ(names.count(15), 0u);
+    EXPECT_EQ(names.count(16), 0u);
+    if (num_shards == 1) {
+      unsharded_names = names;
+      continue;
+    }
+    names.erase(static_cast<int>(SpanName::kBarrierWait));
+    EXPECT_EQ(names, unsharded_names);
+    int64_t term_reads = 0;
+    for (int k = 0; k < num_shards; ++k) {
+      term_reads += runtime->shards()->shard(k).terms_evaluated.value();
+    }
+    int64_t expected_reads = 0;
+    for (const auto& row : result->rows) {
+      ASSERT_TRUE(row.ok());
+      expected_reads += row->num_terms;
+    }
+    EXPECT_EQ(term_reads, expected_reads);
+    runtime->Stop();
+  }
 }
 
 }  // namespace
