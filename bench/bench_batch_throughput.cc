@@ -2,7 +2,9 @@
 // multi-region specs — each time slot's regions grouped into one
 // QuerySpec::MultiRegion, run with frame memoization, the sharded LRU
 // resolve cache and a thread pool — at 1, 4, and hardware threads,
-// against a one-query-at-a-time loop of uncached point specs.
+// against a one-query-at-a-time loop of uncached point specs; then the
+// per-call latency of one 16-region spec under the default work-sized
+// fan-out next to num_threads = 1.
 // Production traffic re-queries the same areal units (tracts, hexagons,
 // road segments) across time slots, so the stream cycles a fixed region
 // set over many slots.
@@ -84,6 +86,50 @@ double ChecksumOrDie(const std::vector<QueryResult>& results) {
   return sum;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// \brief Median per-call latency of one 16-region MultiRegion spec with
+/// default options (work-sized fan-out over ThreadPool::Shared()) next
+/// to num_threads = 1, cached and uncached, calls interleaved.
+void SmallSpecLatency(const QueryPlanner& planner,
+                      const QueryExecutor& executor, const QuerySpec& slot) {
+  std::vector<GridMask> regions(
+      slot.regions.begin(),
+      slot.regions.begin() +
+          static_cast<int64_t>(std::min<size_t>(16, slot.regions.size())));
+  auto plan = planner.Plan(QuerySpec::MultiRegion(regions, slot.time.t0));
+  O4A_CHECK(plan.ok()) << plan.status().ToString();
+  constexpr int reps = 2000;
+  for (const bool cached : {true, false}) {
+    ResolvedQueryCache cache;
+    QueryExecutorOptions fanout;
+    QueryExecutorOptions single;
+    single.num_threads = 1;
+    if (cached) fanout.cache = single.cache = &cache;
+    std::vector<double> fanout_us, single_us;
+    for (int r = 0; r < reps; ++r) {
+      for (QueryExecutorOptions* options : {&fanout, &single}) {
+        Stopwatch timer;
+        const QueryResult answer = executor.Execute(*plan, *options);
+        const double micros = timer.ElapsedMicros();
+        O4A_CHECK(answer.rows.front().ok());
+        (options == &fanout ? fanout_us : single_us).push_back(micros);
+      }
+    }
+    const double ratio = Median(fanout_us) / Median(single_us);
+    std::cout << regions.size() << "-region spec, "
+              << (cached ? "cached" : "uncached")
+              << ", median of " << reps << ": default options "
+              << TablePrinter::Num(Median(fanout_us), 1)
+              << " us, num_threads = 1 "
+              << TablePrinter::Num(Median(single_us), 1) << " us (ratio "
+              << TablePrinter::Num(ratio, 2) << ")\n";
+  }
+}
+
 int main_impl() {
   BenchConfig config = BenchConfig::FromEnv();
   const char* env_queries = std::getenv("O4A_BENCH_QUERIES");
@@ -139,9 +185,9 @@ int main_impl() {
 
   for (int threads : thread_counts) {
     ResolvedQueryCache cache;
-    ThreadPool pool(threads);
+    ThreadPool pool(threads);  // one worker: every stage runs inline
+    ScopedComputePool scoped(&pool);
     QueryExecutorOptions options;
-    options.pool = &pool;
     options.cache = &cache;
     Stopwatch timer;
     std::vector<QueryResult> results;
@@ -183,6 +229,7 @@ int main_impl() {
                   TablePrinter::Num(mode.speedup, 2)});
   }
   table.Print(std::cout);
+  SmallSpecLatency(planner, executor, stream.slot_specs.front());
   PrintShapeCheck(
       "multi-region specs beat the sequential loop by more than 2x",
       best_speedup > 2.0);

@@ -79,6 +79,10 @@ double TimeBest(int reps, Fn&& fn) {
 
 std::vector<GemmResult> RunGemm(int reps, std::vector<GemmThreadResult>* mt,
                                 double* checksum) {
+  // Single-thread rows: a one-worker ambient pool keeps every ParallelFor
+  // inline; the threaded rows below install their own pools.
+  ThreadPool single(1);
+  ScopedComputePool sequential(&single);
   std::vector<GemmResult> results;
   for (const int64_t n : {64, 128, 256, 512, 1024}) {
     Rng rng(static_cast<uint64_t>(n));
@@ -168,8 +172,8 @@ std::vector<ConvResult> RunConv(int reps, double* checksum) {
       // rows into the JSON baseline; skip them (the 1-thread row with
       // its vs-naive speedup always survives, whatever the host).
       if (threads > 1 && threads > ThreadPool::HardwareThreads()) continue;
-      ThreadPool pool(threads);
-      ScopedComputePool scoped(threads > 1 ? &pool : nullptr);
+      ThreadPool pool(threads);  // one worker: inline
+      ScopedComputePool scoped(&pool);
       ConvResult res;
       res.shape = shape.name;
       res.threads = threads;

@@ -182,11 +182,14 @@ int main_impl() {
   result.range_steps = range_steps;
 
   // Steady-state latency: warm the resolve cache once (so both paths pay
-  // identical cache probes, not decomposition), then best-of-reps.
+  // identical cache probes, not decomposition), then best-of-reps. Both
+  // paths run on the calling thread: the ratio compares the two gather
+  // algorithms, not how well each one's stages fan out.
   const auto steady_micros = [&](const QueryPlan& plan,
                                  ResolvedQueryCache* cache,
                                  double* checksum) {
     QueryExecutorOptions options;
+    options.num_threads = 1;
     options.cache = cache;
     (void)executor.Execute(plan, options);  // warmup fills the cache
     double best = 1e300;

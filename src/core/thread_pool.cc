@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <memory>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -9,6 +10,75 @@
 #include "core/logging.h"
 
 namespace one4all {
+
+namespace {
+
+/// True on pool workers and on a caller while it drains ParallelFor
+/// chunks: a ParallelFor issued here runs inline.
+thread_local bool t_in_parallel_work = false;
+
+thread_local ThreadPool* t_compute_pool = nullptr;
+
+/// Yields AwaitDone makes before it sleeps on the condition variable.
+constexpr int kAwaitSpins = 256;
+
+/// \brief One fanned-out ParallelFor. Shared by the caller and its
+/// helper tasks, so a helper that starts after the caller returned still
+/// finds the cursor (and no chunk left) instead of a dead stack frame.
+struct ForJob {
+  ForJob(RangeFn fn, int64_t items, int64_t chunk_items)
+      : body(fn),
+        n(items),
+        chunk(chunk_items),
+        num_chunks((items + chunk_items - 1) / chunk_items) {}
+
+  /// \brief Claims and runs chunks until the cursor passes the end.
+  void Drain() {
+    const bool was_parallel = t_in_parallel_work;
+    t_in_parallel_work = true;
+    int64_t finished = 0;
+    for (int64_t c = next.fetch_add(1, std::memory_order_relaxed);
+         c < num_chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
+      const int64_t begin = c * chunk;
+      body(begin, std::min(n, begin + chunk));
+      ++finished;
+    }
+    t_in_parallel_work = was_parallel;
+    if (finished > 0 &&
+        done.fetch_add(finished, std::memory_order_acq_rel) + finished ==
+            num_chunks) {
+      // Notify under the lock: the caller checks `done` under it, so the
+      // wakeup cannot slip between its check and its wait.
+      std::lock_guard<std::mutex> lock(mu);
+      done_cv.notify_one();
+    }
+  }
+
+  /// \brief Blocks until every chunk has finished. The chunks still out
+  /// are other participants' last ones, so it yields a while before it
+  /// sleeps: a condvar wakeup costs more than a chunk usually has left.
+  void AwaitDone() {
+    for (int spin = 0; spin < kAwaitSpins; ++spin) {
+      if (done.load(std::memory_order_acquire) == num_chunks) return;
+      std::this_thread::yield();
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, [this] {
+      return done.load(std::memory_order_acquire) == num_chunks;
+    });
+  }
+
+  const RangeFn body;  ///< called only for a claimed chunk
+  const int64_t n;
+  const int64_t chunk;
+  const int64_t num_chunks;
+  std::atomic<int64_t> next{0};  ///< next unclaimed chunk
+  std::atomic<int64_t> done{0};  ///< finished chunks
+  std::mutex mu;
+  std::condition_variable done_cv;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
@@ -43,34 +113,24 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-void ThreadPool::ParallelFor(
-    int64_t n, const std::function<void(int64_t, int64_t)>& body) {
+void ThreadPool::ParallelFor(int64_t n, int64_t grain, RangeFn body) {
   if (n <= 0) return;
-  const int64_t threads = num_threads();
-  if (threads <= 1 || n == 1) {
+  if (n < std::max<int64_t>(grain, 2) || t_in_parallel_work) {
     body(0, n);
     return;
   }
-  // A few chunks per worker smooths out per-range cost skew without
-  // paying queue overhead per element.
-  const int64_t chunks = std::min(n, threads * 4);
-  const int64_t chunk = (n + chunks - 1) / chunks;
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int64_t remaining = 0;
-  for (int64_t begin = 0; begin < n; begin += chunk) ++remaining;
-
-  for (int64_t begin = 0; begin < n; begin += chunk) {
-    const int64_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end] {
-      body(begin, end);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  // About four chunks per participant (the workers plus the caller)
+  // smooths per-range cost skew; the cursor makes a chunk cost one
+  // relaxed fetch_add, not a queue round-trip.
+  const int64_t participants = num_threads() + 1;
+  const int64_t chunk = (n + 4 * participants - 1) / (4 * participants);
+  const auto job = std::make_shared<ForJob>(body, n, chunk);
+  const int64_t helpers =
+      std::min<int64_t>(num_threads(), job->num_chunks - 1);
+  for (int64_t i = 0; i < helpers; ++i) Submit([job] { job->Drain(); });
+  job->Drain();
+  job->AwaitDone();
+  chunks_fanned_out_.fetch_add(job->num_chunks, std::memory_order_relaxed);
 }
 
 int ThreadPool::HardwareThreads() {
@@ -93,14 +153,8 @@ ThreadPool* ThreadPool::Shared() {
   return pool;
 }
 
-namespace {
-thread_local bool t_on_pool_worker = false;
-}  // namespace
-
-bool ThreadPool::OnWorkerThread() { return t_on_pool_worker; }
-
 void ThreadPool::WorkerLoop() {
-  t_on_pool_worker = true;
+  t_in_parallel_work = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -115,6 +169,34 @@ void ThreadPool::WorkerLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_ == 0) idle_cv_.notify_all();
     }
+  }
+}
+
+ThreadPool* GetComputePool() { return t_compute_pool; }
+
+ThreadPool* ResolveComputePool() {
+  ThreadPool* pool =
+      t_compute_pool != nullptr ? t_compute_pool : ThreadPool::Shared();
+  return pool->num_threads() > 1 ? pool : nullptr;
+}
+
+ScopedComputePool::ScopedComputePool(ThreadPool* pool)
+    : previous_(t_compute_pool) {
+  t_compute_pool = pool;
+}
+
+ScopedComputePool::~ScopedComputePool() { t_compute_pool = previous_; }
+
+void ParallelFor(int64_t n, int64_t grain, RangeFn body) {
+  // Under one grain nothing resolves a pool, so a process whose loops
+  // all stay small never starts Shared()'s workers.
+  ThreadPool* pool = n >= std::max<int64_t>(grain, 2) && !t_in_parallel_work
+                         ? ResolveComputePool()
+                         : nullptr;
+  if (pool != nullptr) {
+    pool->ParallelFor(n, grain, body);
+  } else if (n > 0) {
+    body(0, n);
   }
 }
 

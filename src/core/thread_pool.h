@@ -1,24 +1,48 @@
-// Fixed-size worker pool for the online serving layer: the query
-// executors fan a spec's resolve and gather stages out across workers,
-// and the benchmark harness reuses one pool across measurement rounds to
-// keep thread start-up out of the timed section.
+// Fixed-size worker pool and the process's one fan-out policy,
+// ParallelFor(n, grain, body): every parallel loop of the library (the
+// query executor's resolve and gather stages, Sgemm, the convolution and
+// softmax kernels, tiled SAT builds) is one call to it. A loop of fewer
+// than `grain` items, a loop with no pool to fan out over, and a loop
+// issued from inside parallel work all run inline on the calling thread;
+// otherwise the caller claims chunks from an atomic cursor alongside the
+// pool's workers and returns once every chunk is done.
 #ifndef ONE4ALL_CORE_THREAD_POOL_H_
 #define ONE4ALL_CORE_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace one4all {
 
+/// \brief Non-owning reference to a loop body `body(begin, end)`: what
+/// ParallelFor hands its participants, so no chunk allocates a
+/// std::function. The referenced callable must outlive every call.
+class RangeFn {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, RangeFn>>>
+  RangeFn(const F& fn)  // NOLINT: implicit by design, like a function_ref
+      : fn_(&fn), call_([](const void* f, int64_t begin, int64_t end) {
+          (*static_cast<const F*>(f))(begin, end);
+        }) {}
+
+  void operator()(int64_t begin, int64_t end) const {
+    call_(fn_, begin, end);
+  }
+
+ private:
+  const void* fn_;
+  void (*call_)(const void*, int64_t, int64_t);
+};
+
 /// \brief Fixed pool of worker threads draining one shared FIFO queue.
-///
-/// Tasks must not Submit() to or Wait() on the pool they run inside
-/// (no nesting); ParallelFor obeys this by never re-entering the pool.
 class ThreadPool {
  public:
   /// \param num_threads Workers to start; clamped to >= 1.
@@ -36,11 +60,23 @@ class ThreadPool {
   /// \brief Blocks until every task submitted so far has finished.
   void Wait();
 
-  /// \brief Splits [0, n) into contiguous chunks and runs `body(begin,
-  /// end)` across the workers; blocks until all chunks finish. Small or
-  /// single-threaded workloads run inline on the calling thread.
-  void ParallelFor(int64_t n,
-                   const std::function<void(int64_t, int64_t)>& body);
+  /// \brief Runs `body(begin, end)` over contiguous chunks that cover
+  /// [0, n) exactly once. Inline, as one body(0, n) call, when n <
+  /// max(grain, 2) or when the calling thread is already parallel work
+  /// (a pool worker, or a caller draining chunks), so nesting cannot
+  /// deadlock. Otherwise [0, n) is cut into about 4 chunks per
+  /// participant, up to num_threads() helper tasks are enqueued, and the
+  /// caller claims chunks from the same atomic cursor as they do. It
+  /// returns once every chunk has finished, whether or not every helper
+  /// has started: a helper that starts late finds no chunk left.
+  void ParallelFor(int64_t n, int64_t grain, RangeFn body);
+
+  /// \brief Chunks run by fanned-out ParallelFor calls on this pool so
+  /// far, on any thread (inline calls count none): shows whether a loop
+  /// fanned out, whichever threads ended up running its chunks.
+  int64_t chunks_fanned_out() const {
+    return chunks_fanned_out_.load(std::memory_order_relaxed);
+  }
 
   /// \brief Cores this process may run on: the size of its CPU affinity
   /// mask (sched_getaffinity), so taskset/cgroup pinning is honoured.
@@ -49,18 +85,10 @@ class ThreadPool {
   static int HardwareThreads();
 
   /// \brief Lazily-created process-wide pool with HardwareThreads()
-  /// workers. The shared handle that Trainer, prediction ingest and the
-  /// query executors default to, so one worker set serves training
-  /// epochs, tensor kernels and query specs instead of each layer
-  /// spinning up its own threads. Never destroyed (workers idle when
-  /// unused).
+  /// workers: the pool every ParallelFor fans out over unless a
+  /// ScopedComputePool installs another. Never destroyed (workers idle
+  /// when unused).
   static ThreadPool* Shared();
-
-  /// \brief True when the calling thread is a worker of any ThreadPool.
-  /// Code that would otherwise *default* to fanning out over Shared()
-  /// must stay sequential on worker threads — waiting on a pool from one
-  /// of its own workers deadlocks once every worker blocks that way.
-  static bool OnWorkerThread();
 
  private:
   void WorkerLoop();
@@ -72,7 +100,36 @@ class ThreadPool {
   std::condition_variable idle_cv_;  ///< signals Wait(): pending hit zero
   int64_t pending_ = 0;              ///< queued + currently running tasks
   bool stop_ = false;
+  std::atomic<int64_t> chunks_fanned_out_{0};
 };
+
+/// \brief The calling thread's ambient pool, installed by
+/// ScopedComputePool (thread_local, so pool workers see none). Null when
+/// none is installed.
+ThreadPool* GetComputePool();
+
+/// \brief The pool a ParallelFor on this thread fans out over: the
+/// ambient pool, else ThreadPool::Shared(). Null, meaning inline, when
+/// that pool has a single worker (Shared() on one core).
+ThreadPool* ResolveComputePool();
+
+/// \brief Installs `pool` as the calling thread's ambient pool for the
+/// guard's lifetime; restores the previous one on destruction.
+class ScopedComputePool {
+ public:
+  explicit ScopedComputePool(ThreadPool* pool);
+  ~ScopedComputePool();
+  ScopedComputePool(const ScopedComputePool&) = delete;
+  ScopedComputePool& operator=(const ScopedComputePool&) = delete;
+
+ private:
+  ThreadPool* previous_;
+};
+
+/// \brief The fan-out policy: ThreadPool::ParallelFor over
+/// ResolveComputePool(), or body(0, n) inline when none resolves. `grain`
+/// is the fewest items worth fanning out, in the loop's own items.
+void ParallelFor(int64_t n, int64_t grain, RangeFn body);
 
 }  // namespace one4all
 

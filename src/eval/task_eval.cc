@@ -3,12 +3,9 @@
 #include <algorithm>
 
 #include "core/stopwatch.h"
-#include "core/thread_pool.h"
 #include "eval/metrics.h"
-#include "tensor/gemm.h"
 
 namespace one4all {
-
 
 std::vector<TaskSpec> PaperTasks(bool hexagon_task1) {
   // Mean areas follow Sec. V-A3 (150 m atomic cells): 0.3 / 0.6 / 1.3 /
@@ -69,7 +66,6 @@ QueryEvalResult EvaluateAtomicAggregation(
     FlowPredictor* predictor, const STDataset& dataset,
     const std::vector<GridMask>& regions,
     const std::vector<int64_t>& timesteps) {
-  ScopedComputePool scoped_pool(ResolveComputePool());
   // Predict the atomic raster once for all slots, then mask-sum.
   const int64_t t_total = static_cast<int64_t>(timesteps.size());
   const int64_t h = dataset.hierarchy().atomic_height();
@@ -98,7 +94,6 @@ QueryEvalResult EvaluateClusterPlusAtomic(
     FlowPredictor* predictor, const STDataset& dataset, int cluster_layer,
     const std::vector<GridMask>& regions,
     const std::vector<int64_t>& timesteps) {
-  ScopedComputePool scoped_pool(ResolveComputePool());
   const Hierarchy& hierarchy = dataset.hierarchy();
   const int64_t t_total = static_cast<int64_t>(timesteps.size());
   const int64_t h = hierarchy.atomic_height(), w = hierarchy.atomic_width();
@@ -165,11 +160,7 @@ QueryEvalResult EvaluateClusterPlusAtomic(
 
 std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
                                                 const STDataset& dataset,
-                                                const SearchOptions& options,
-                                                ThreadPool* pool) {
-  // Both bulk prediction passes below (validation scoring + test ingest)
-  // run the predictor's kernels over the compute pool.
-  ScopedComputePool scoped_pool(ResolveComputePool(pool));
+                                                const SearchOptions& options) {
   auto pipeline = std::unique_ptr<MauPipeline>(new MauPipeline());
   pipeline->dataset_ = &dataset;
   pipeline->test_ = dataset.test_indices();

@@ -17,8 +17,6 @@
 
 namespace one4all {
 
-class ThreadPool;  // core/thread_pool.h
-
 /// \brief One of the paper's prediction tasks.
 struct TaskSpec {
   std::string name;
@@ -64,13 +62,9 @@ QueryEvalResult EvaluateClusterPlusAtomic(
 class MauPipeline {
  public:
   /// \param predictor Must stay alive while Build runs (not retained).
-  /// \param pool Compute pool for the predictor's forward passes during
-  /// ingest; null inherits the caller's ScopedComputePool, falling back
-  /// to the process-wide ThreadPool::Shared().
   static std::unique_ptr<MauPipeline> Build(FlowPredictor* predictor,
                                             const STDataset& dataset,
-                                            const SearchOptions& options = {},
-                                            ThreadPool* pool = nullptr);
+                                            const SearchOptions& options = {});
 
   /// \brief Accuracy of the given strategy over (regions x test slots).
   QueryEvalResult Evaluate(const std::vector<GridMask>& regions,

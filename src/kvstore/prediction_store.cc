@@ -291,19 +291,18 @@ Result<float> PredictionStore::TryGetValueAt(int64_t generation, int layer,
 }
 
 Status PredictionStore::TryBuildSatPlaneAt(int64_t generation, int layer,
-                                           int64_t t, ThreadPool* pool) {
+                                           int64_t t) {
   O4A_RETURN_NOT_OK(WriteFault());
   O4A_ASSIGN_OR_RETURN(std::shared_ptr<const TiledFrame> frame,
                        GetTiledFrameAt(generation, layer, t));
   auto plane = std::make_shared<const TiledSatPlane>(
-      TiledSatPlane::Build(*frame, pool));
+      TiledSatPlane::Build(*frame));
   InstallPlane(generation, layer, t, *frame, std::move(plane));
   return Status::OK();
 }
 
 Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
                                                 int64_t t, int64_t base_t,
-                                                ThreadPool* pool,
                                                 StageStats* stats) {
   O4A_RETURN_NOT_OK(WriteFault());
   Entry entry;
@@ -317,8 +316,8 @@ Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
   auto plane = std::make_shared<const TiledSatPlane>(
       have_base && entry.dirty != nullptr
           ? TiledSatPlane::BuildDelta(*entry.frame, *base.plane,
-                                      *entry.dirty, &reused, pool)
-          : TiledSatPlane::Build(*entry.frame, pool));
+                                      *entry.dirty, &reused)
+          : TiledSatPlane::Build(*entry.frame));
   if (stats != nullptr) stats->plane_tiles_reused = reused;
   InstallPlane(generation, layer, t, *entry.frame, std::move(plane));
   return Status::OK();
@@ -344,8 +343,7 @@ bool PredictionStore::HasSatPlaneAt(int64_t generation, int layer,
   return entry != nullptr && entry->plane != nullptr;
 }
 
-int64_t PredictionStore::BuildSatPlanes(int64_t generation,
-                                        ThreadPool* pool) {
+int64_t PredictionStore::BuildSatPlanes(int64_t generation) {
   // Snapshot the generation's keys first: building happens outside the
   // lock, against a table that may change meanwhile.
   std::vector<std::pair<int, int64_t>> keys;  // (layer, t)
@@ -364,7 +362,7 @@ int64_t PredictionStore::BuildSatPlanes(int64_t generation,
   }
   int64_t built = 0;
   for (const auto& [layer, t] : keys) {
-    const Status status = TryBuildSatPlaneAt(generation, layer, t, pool);
+    const Status status = TryBuildSatPlaneAt(generation, layer, t);
     O4A_CHECK(status.ok()) << status.ToString();
     ++built;
   }

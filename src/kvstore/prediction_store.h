@@ -63,8 +63,6 @@
 
 namespace one4all {
 
-class ThreadPool;
-
 /// \brief Generation-keyed tiled CoW store of per-layer prediction
 /// frames and their summed-area planes.
 class PredictionStore {
@@ -204,8 +202,7 @@ class PredictionStore {
   /// already-synced frame (generation, layer, t), every tile fresh.
   /// NotFound when the frame is missing; returns the injected fault
   /// Status while SetWriteFault is active (a plane build is a write).
-  Status TryBuildSatPlaneAt(int64_t generation, int layer, int64_t t,
-                            ThreadPool* pool = nullptr);
+  Status TryBuildSatPlaneAt(int64_t generation, int layer, int64_t t);
 
   /// \brief Incremental plane build: dirty tiles (the set recorded by
   /// TrySyncFrameDeltaAt) rebuild their local prefixes; clean tiles
@@ -215,7 +212,7 @@ class PredictionStore {
   /// Falls back to a full build when the base plane is missing or the
   /// dirty set is unknown.
   Status TryBuildSatPlaneDeltaAt(int64_t generation, int layer, int64_t t,
-                                 int64_t base_t, ThreadPool* pool = nullptr,
+                                 int64_t base_t,
                                  StageStats* stats = nullptr);
 
   bool HasSatPlaneAt(int64_t generation, int layer, int64_t t) const;
@@ -223,7 +220,7 @@ class PredictionStore {
   /// \brief Builds and stores the summed-area plane of every frame in a
   /// generation (offline harness: sync frames first, derive all planes
   /// in one pass). Returns the number of planes built.
-  int64_t BuildSatPlanes(int64_t generation, ThreadPool* pool = nullptr);
+  int64_t BuildSatPlanes(int64_t generation);
 
   /// \brief Copies frames of `from` with t >= `min_t` into generation
   /// `to`, overwriting the same (layer, t) there and keeping the rest.

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "core/logging.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
-#include "core/thread_pool.h"
-#include "tensor/gemm.h"
 
 namespace one4all {
 
@@ -17,19 +14,6 @@ TrainReport TrainModel(Module* module, const STDataset& dataset,
                        const TrainOptions& options) {
   O4A_CHECK(module != nullptr);
   O4A_CHECK_GT(options.batch_size, 0);
-
-  // Compute pool for the kernels under the training loop: every forward /
-  // backward beneath loss_fn fans conv batches and large GEMMs out over
-  // it (see ScopedComputePool in tensor/gemm.h).
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = owned_pool.get();
-  }
-  const bool sequential = pool == nullptr && options.num_threads == 1;
-  ScopedComputePool scoped_pool(sequential ? nullptr
-                                           : ResolveComputePool(pool));
 
   Rng rng(options.seed);
   Adam optimizer(module->Parameters(), options.learning_rate);

@@ -12,8 +12,6 @@
 
 namespace one4all {
 
-class ThreadPool;  // core/thread_pool.h
-
 struct TrainOptions {
   int epochs = 3;
   int batch_size = 8;
@@ -28,12 +26,6 @@ struct TrainOptions {
   int early_stop_patience = 0;
   uint64_t seed = 99;
   bool verbose = false;
-  /// Worker threads for the tensor kernels during training (conv batch
-  /// fan-out, GEMM row blocks): 0 = the process-wide ThreadPool::Shared(),
-  /// 1 = sequential, >1 = a pool of that size for this call.
-  int num_threads = 0;
-  /// Optional compute pool (overrides num_threads); must outlive the call.
-  ThreadPool* pool = nullptr;
 };
 
 struct TrainReport {

@@ -1,28 +1,25 @@
-// Internal execution helpers of the QueryExecutor: the per-worker
+// Internal execution helper of the QueryExecutor: the per-chunk
 // prediction-frame memo of the exact cell loop, which reads every term
 // in place from its owner band's frame and sums terms in one
 // accumulation order (RegionQueryServer::EvaluateTerms's) on any band
-// count, and the chunked parallel-for policy (RunSharded).
+// count.
 #ifndef ONE4ALL_QUERY_FRAME_MEMO_H_
 #define ONE4ALL_QUERY_FRAME_MEMO_H_
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "kvstore/prediction_store.h"
 #include "query/query_server.h"
 #include "shard/shard_map.h"
-#include "tensor/gemm.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
 namespace query_internal {
 
-/// \brief Per-worker memo of prediction frames: one View lookup per
+/// \brief Per-chunk memo of prediction frames: one View lookup per
 /// (band, layer, t) instead of one per combination term.
 ///
 /// Reads through the bands' Views of their pinned generations, taken
@@ -119,31 +116,6 @@ class FrameMemo {
   std::vector<Entry> frames_;        ///< key-ascending
   std::vector<int64_t> term_reads_;  ///< per band; empty for one band
 };
-
-/// \brief Runs `body(begin, end)` over [0, n) with the requested
-/// parallelism; `pool` wins over `num_threads` (QueryExecutorOptions
-/// semantics: 0 = ambient/shared pool, 1 = caller's thread, > 1 =
-/// per-call pool).
-inline void RunSharded(ThreadPool* pool, int num_threads, int64_t n,
-                       const std::function<void(int64_t, int64_t)>& body) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, body);
-  } else if (num_threads == 0) {
-    // Resolve through the central policy: Shared() by default, sequential
-    // when issued from a pool worker (waiting on a pool from one of its
-    // own workers would deadlock).
-    if (ThreadPool* ambient = ResolveComputePool()) {
-      ambient->ParallelFor(n, body);
-    } else {
-      body(0, n);
-    }
-  } else if (num_threads > 1) {
-    ThreadPool local(num_threads);
-    local.ParallelFor(n, body);
-  } else {
-    body(0, n);
-  }
-}
 
 }  // namespace query_internal
 }  // namespace one4all

@@ -1,10 +1,12 @@
 #include "query/query_executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "core/stopwatch.h"
+#include "core/thread_pool.h"
 #include "query/frame_memo.h"
 #include "query/resolved_query_cache.h"
 #include "tensor/tiled_sat.h"
@@ -139,6 +141,53 @@ const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
   return &*it;
 }
 
+// -- Fan-out grains -----------------------------------------------------
+//
+// Stage work is estimated in cell reads: a term cell of the exact loop,
+// a corner or residue read of the fast path (~15 ns each in the exact
+// loop on a 4-core x86 host). A stage fans out once its estimate reaches
+// kFanOutCellReads, ~120 us of work: a fan-out costs ~10 us to wake the
+// helpers and join them, and nearer the break-even its gain drowns in
+// per-chunk frame-memo refills and wakeup jitter.
+constexpr int64_t kFanOutCellReads = 8192;
+/// Per-row bookkeeping (row fold, series, status), ~0.5 us.
+constexpr int64_t kRowCellReads = 32;
+/// One resolve-stage slot: a cache probe (~0.25 us) when the bands cache
+/// resolutions, a decompose + index lookup (~15 us) when they do not.
+constexpr int64_t kProbeCellReads = 16;
+constexpr int64_t kResolveCellReads = 1024;
+
+/// \brief The ParallelFor grain of a stage over `items` whose estimated
+/// work is `cell_reads`: the items that make up one fan-out's worth, so
+/// the stage fans out exactly when cell_reads >= kFanOutCellReads.
+/// num_threads == 1 keeps every stage on the calling thread.
+int64_t StageGrain(const QueryExecutorOptions& options, int64_t items,
+                   int64_t cell_reads) {
+  if (options.num_threads == 1 || cell_reads < kFanOutCellReads) {
+    return std::numeric_limits<int64_t>::max();
+  }
+  return std::max<int64_t>(1, items * kFanOutCellReads / cell_reads);
+}
+
+/// \brief StageGrain of a gather stage over the plan's rows: each row
+/// costs kRowCellReads plus `step_reads(resolution)` per timestep.
+template <typename StepReads>
+int64_t GatherGrain(const QueryExecutorOptions& options,
+                    const QueryPlan& plan,
+                    const std::vector<SlotResolution>& slots,
+                    StepReads step_reads) {
+  const int64_t num_rows = static_cast<int64_t>(plan.rows.size());
+  int64_t cell_reads = num_rows * kRowCellReads;
+  for (const PlanRow& planned : plan.rows) {
+    const SlotResolution& slot =
+        slots[static_cast<size_t>(planned.region_slot)];
+    if (slot.resolved.ok()) {
+      cell_reads += planned.num_steps() * step_reads(**slot.resolved);
+    }
+  }
+  return StageGrain(options, num_rows, cell_reads);
+}
+
 /// \brief Above this many (row, timestep) gather points the fast path's
 /// upfront frame-table prefetch could materialize an unreasonable table
 /// before any per-row NotFound gets the chance to surface; such plans
@@ -184,14 +233,18 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   {
     ScopedSpan resolve_span(options.trace, SpanName::kResolve,
                             static_cast<int64_t>(slots.size()));
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
-        static_cast<int64_t>(slots.size()),
+    const int64_t num_slots = static_cast<int64_t>(slots.size());
+    ParallelFor(
+        num_slots,
+        StageGrain(options, num_slots,
+                   num_slots * (bands.front().cache != nullptr
+                                    ? kProbeCellReads
+                                    : kResolveCellReads)),
         [&](int64_t begin, int64_t end) {
-          // Each shard spans against its own copy of the trace context:
+          // Each chunk spans against its own copy of the trace context:
           // ScopedSpan mutates parent_span, which must stay thread-local.
-          TraceContext shard_trace;
-          if (options.trace != nullptr) shard_trace = *options.trace;
+          TraceContext chunk_trace;
+          if (options.trace != nullptr) chunk_trace = *options.trace;
           for (int64_t s = begin; s < end; ++s) {
             SlotResolution& slot = slots[static_cast<size_t>(s)];
             const GridMask& region =
@@ -199,7 +252,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             const GatherBand& home =
                 bands[map == nullptr ? 0 : static_cast<size_t>(
                                                map->HomeShard(region))];
-            ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
+            ScopedSpan probe_span(&chunk_trace, SpanName::kCacheProbe);
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
@@ -338,13 +391,19 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       entry.tiles = entry.frame->tile_table();
     }
 
-    // Phase 2: per-row interpretation of the compiled gather programs.
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
+    // Phase 2: per-row interpretation of the compiled gather programs,
+    // four reads per rect and one per residue at every timestep.
+    ParallelFor(
         static_cast<int64_t>(plan.rows.size()),
+        GatherGrain(options, plan, slots,
+                    [](const ResolvedQuery& rq) {
+                      return static_cast<int64_t>(
+                          4 * rq.gather.rects.size() +
+                          rq.gather.residues.size());
+                    }),
         [&](int64_t begin, int64_t end) {
-          TraceContext shard_trace;
-          if (options.trace != nullptr) shard_trace = *options.trace;
+          TraceContext chunk_trace;
+          if (options.trace != nullptr) chunk_trace = *options.trace;
           std::vector<double> series;
           std::vector<const FrameTableEntry*> layer_bases;
           for (int64_t i = begin; i < end; ++i) {
@@ -422,7 +481,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             }
             result.rows[static_cast<size_t>(i)] =
                 MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                        slot, eval_micros, &shard_trace);
+                        slot, eval_micros, &chunk_trace);
           }
         });
     gather_span.Close();
@@ -439,12 +498,15 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   ScopedSpan gather_span(options.trace, SpanName::kGather,
                          plan.num_point_queries());
 
-  query_internal::RunSharded(
-      options.pool, options.num_threads,
+  ParallelFor(
       static_cast<int64_t>(plan.rows.size()),
+      GatherGrain(options, plan, slots,
+                  [](const ResolvedQuery& rq) {
+                    return static_cast<int64_t>(rq.terms.size());
+                  }),
       [&](int64_t begin, int64_t end) {
-        TraceContext shard_trace;
-        if (options.trace != nullptr) shard_trace = *options.trace;
+        TraceContext chunk_trace;
+        if (options.trace != nullptr) chunk_trace = *options.trace;
         query_internal::FrameMemo memo(&views, map);
         std::vector<double> series;
         for (int64_t i = begin; i < end; ++i) {
@@ -477,7 +539,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
           }
           result.rows[static_cast<size_t>(i)] =
               MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                      slot, eval_micros, &shard_trace);
+                      slot, eval_micros, &chunk_trace);
         }
         for (size_t k = 0; k < bands.size(); ++k) {
           if (bands[k].term_reads != nullptr) {

@@ -19,6 +19,11 @@
 // any band count, so N-band answers are bit-identical to one band's
 // (failure statuses and top-k tie order included). The SAT fast path
 // serves single-band plans; multi-band plans take the exact loop.
+//
+// The resolve and gather stages fan out over their slots and rows
+// through ParallelFor, with a grain derived from the plan: the stage's
+// estimated cost in cell reads against what one fan-out costs, so a
+// small spec runs on the calling thread.
 #ifndef ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 #define ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 
@@ -37,12 +42,12 @@ class ShardMap;
 
 /// \brief Execution knobs of one plan execution.
 struct QueryExecutorOptions {
-  /// Worker threads when `pool` is null: 1 runs on the calling thread,
-  /// 0 fans out over the process-wide ThreadPool::Shared(), > 1 spins up
-  /// a per-call pool.
-  int num_threads = 1;
-  /// Optional shared pool (overrides num_threads); must outlive the call.
-  ThreadPool* pool = nullptr;
+  /// 1 runs every stage on the calling thread. Any other value sizes the
+  /// fan-out by work: a stage whose estimated cost pays for it runs
+  /// through ParallelFor (core/thread_pool.h) over the ambient
+  /// ScopedComputePool, else ThreadPool::Shared(); smaller stages stay on
+  /// the calling thread.
+  int num_threads = 0;
   /// Optional resolve cache shared across calls; must outlive the call.
   ResolvedQueryCache* cache = nullptr;
   /// Prediction-store generation every frame read goes through (the

@@ -81,7 +81,7 @@ Status FrameEpochManager::Staging::TryStageFrame(int layer, int64_t t,
                           stats.frame_tiles_total -
                               stats.frame_tiles_shared);
       O4A_RETURN_NOT_OK(manager_->store_->TryBuildSatPlaneDeltaAt(
-          generation_, layer, t, t - 1, /*pool=*/nullptr, &stats));
+          generation_, layer, t, t - 1, &stats));
     } else {
       ScopedSpan sat_span(trace_ctx_, SpanName::kBuildSatPlane, layer);
       O4A_RETURN_NOT_OK(

@@ -30,9 +30,8 @@ struct ServingRuntimeOptions {
   /// Admission control: a spec is rejected outright (ResourceExhausted)
   /// when admitting it would push the in-flight gather count past this.
   int64_t max_inflight_queries = 4096;
-  /// Worker threads per executed spec (QueryExecutorOptions::num_threads
-  /// semantics: 0 = shared pool, 1 = caller's thread, > 1 = per-call
-  /// pool).
+  /// QueryExecutorOptions::num_threads of every executed spec: 1 = the
+  /// caller's thread, any other value = fan-out sized by work.
   int num_query_threads = 0;
   /// Carry-forward retention horizon in timesteps; see
   /// FrameEpochManagerOptions::retain_timesteps. The default 0 keeps

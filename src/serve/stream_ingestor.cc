@@ -6,7 +6,6 @@
 #include "core/logging.h"
 #include "core/stopwatch.h"
 #include "model/one4all_net.h"
-#include "tensor/gemm.h"
 
 namespace one4all {
 
@@ -246,11 +245,6 @@ bool StreamIngestor::AwaitStepClearance() {
 }
 
 void StreamIngestor::Run() {
-  // Inference kernels fan out over the shared compute pool, same as the
-  // trainer and the offline ingest (sequential if this were ever run on
-  // a pool worker).
-  ScopedComputePool scoped_pool(ResolveComputePool());
-
   RollingWindow window(dataset_->spec(), dataset_->StatsOfLayer(1));
   // Prime with the history the first served timestep needs.
   for (int64_t t = options_.start_t - dataset_->spec().MinHistory();

@@ -14,7 +14,6 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
                                    const ShardExecutorOptions& options) const {
   QueryExecutorOptions exec_options;
   exec_options.num_threads = options.num_threads;
-  exec_options.pool = options.pool;
   exec_options.trace = options.trace;
   return QueryExecutor(server_).Execute(plan, shards_->Bands(pins),
                                         &shards_->map(), exec_options);

@@ -18,10 +18,9 @@ namespace one4all {
 /// generation and cache (a cross-shard pin carries one generation per
 /// shard, and each shard brings its own cache).
 struct ShardExecutorOptions {
-  /// Worker threads (QueryExecutorOptions semantics: 1 = calling thread,
-  /// 0 = shared pool, > 1 = per-call pool).
-  int num_threads = 1;
-  ThreadPool* pool = nullptr;
+  /// QueryExecutorOptions::num_threads: 1 = calling thread, any other
+  /// value = fan-out sized by work.
+  int num_threads = 0;
   /// Open trace of the enclosing query; emits the same kResolve/kGather/
   /// kFold/kRank (and nested) stage spans as an unsharded execution.
   /// Null traces nothing.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/logging.h"
+#include "query/query_planner.h"
 
 namespace one4all {
 
@@ -108,6 +109,25 @@ std::vector<int64_t> ShardMap::SplitRegionCells(
     }
   }
   return cells;
+}
+
+std::string ShardMap::DescribeSplit(const QueryPlan& plan) const {
+  std::ostringstream out;
+  out << "  4. shard scatter: " << num_shards_
+      << " band shards, terms evaluated by cell owner, series re-folded"
+         " in canonical term order\n";
+  for (size_t s = 0; s < plan.slot_regions.size(); ++s) {
+    const GridMask& region = plan.RegionForSlot(static_cast<int>(s));
+    const std::vector<int64_t> split = SplitRegionCells(region);
+    out << "     slot " << s << ": home shard " << HomeShard(region)
+        << ", atomic cells by shard [";
+    for (size_t k = 0; k < split.size(); ++k) {
+      if (k > 0) out << ", ";
+      out << split[k];
+    }
+    out << "]\n";
+  }
+  return out.str();
 }
 
 std::string ShardMap::ToString() const {

@@ -19,6 +19,8 @@
 
 namespace one4all {
 
+struct QueryPlan;  // query/query_planner.h
+
 /// \brief Layer-l rows [row_begin, row_end) owned by one shard; empty
 /// when row_begin == row_end (a narrow band owning no coarse cell).
 struct ShardLayerSlice {
@@ -76,9 +78,14 @@ class ShardMap {
   Tensor SliceFrame(int shard, int layer, const Tensor& frame) const;
 
   /// \brief Atomic cells of `region` falling inside each shard's band
-  /// (index k = shard k's cell count). The router's region split: a rect
-  /// straddling a band boundary contributes rows to both sides.
+  /// (index k = shard k's cell count): a rect straddling a band
+  /// boundary contributes rows to both sides.
   std::vector<int64_t> SplitRegionCells(const GridMask& region) const;
+
+  /// \brief EXPLAIN extension for sharded execution: one line per plan
+  /// slot with its home shard and the region's atomic-cell split across
+  /// bands. Appended after QueryPlan::Describe()'s stage list.
+  std::string DescribeSplit(const QueryPlan& plan) const;
 
   std::string ToString() const;
 

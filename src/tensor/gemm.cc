@@ -25,6 +25,10 @@ constexpr int64_t kNr = 16;
 constexpr int64_t kMc = 120;   // multiple of kMr
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 4080;  // multiple of kNr
+// Fan-out grains: the row stage fans out from two MC blocks, the B pack
+// from this many packed floats.
+constexpr int64_t kParallelRowBlocks = 2;
+constexpr int64_t kParallelPackFloats = int64_t{1} << 16;
 
 constexpr size_t kAlignFloats = 16;  // 64 bytes
 
@@ -320,34 +324,11 @@ Workspace* Workspace::ThreadLocal() {
   return &workspace;
 }
 
-namespace {
-thread_local ThreadPool* g_compute_pool = nullptr;
-}  // namespace
-
-ThreadPool* GetComputePool() { return g_compute_pool; }
-
-ThreadPool* ResolveComputePool(ThreadPool* explicit_pool) {
-  ThreadPool* pool = explicit_pool;
-  if (pool == nullptr) pool = g_compute_pool;
-  if (pool == nullptr && !ThreadPool::OnWorkerThread()) {
-    pool = ThreadPool::Shared();
-  }
-  return pool != nullptr && pool->num_threads() > 1 ? pool : nullptr;
-}
-
-ScopedComputePool::ScopedComputePool(ThreadPool* pool)
-    : previous_(g_compute_pool) {
-  g_compute_pool = pool;
-}
-
-ScopedComputePool::~ScopedComputePool() { g_compute_pool = previous_; }
-
 const char* SgemmKernelName() { return GetDispatch().name; }
 
 void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            float alpha, const float* a, int64_t lda, const float* b,
-           int64_t ldb, float beta, float* c, int64_t ldc, Workspace* ws,
-           ThreadPool* pool) {
+           int64_t ldb, float beta, float* c, int64_t ldc, Workspace* ws) {
   O4A_DCHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
@@ -361,9 +342,9 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 
   if (ws == nullptr) ws = Workspace::ThreadLocal();
-  if (pool == nullptr) pool = GetComputePool();
-  const bool threaded = pool != nullptr && pool->num_threads() > 1 &&
-                        m >= 2 * kMc;
+  // The row stage fans out over whole MC blocks, the last one absorbing
+  // the remainder rows, so it fans out exactly when m >= 2 * kMc.
+  const int64_t row_blocks = std::max<int64_t>(1, m / kMc);
 
   WorkspaceScope scope(ws);
   // Sized to the actual block extents, not the kKc*kNc maximum (~4 MB):
@@ -378,42 +359,33 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const int64_t kc = std::min(kKc, k - pc);
       // First k-block applies the caller's beta; later blocks accumulate.
       const float beta_cur = pc == 0 ? beta : 1.0f;
-      if (threaded) {
-        // Split the B pack across workers too — a serial pack here would
-        // idle the pool once per k-block and cap the fan-out's scaling.
-        const int64_t num_panels = (nc + kNr - 1) / kNr;
-        pool->ParallelFor(num_panels, [&](int64_t panel_begin,
-                                          int64_t panel_end) {
-          PackB(b, ldb, trans_b, pc, jc, kc, nc, panel_begin * kNr,
-                std::min(nc, panel_end * kNr), bpack);
-        });
-      } else {
-        PackB(b, ldb, trans_b, pc, jc, kc, nc, 0, nc, bpack);
-      }
+      // The B pack splits by NR panels too once it copies
+      // kParallelPackFloats: a serial pack of a large block would idle
+      // the pool once per k-block and cap the row stage's scaling.
+      ParallelFor((nc + kNr - 1) / kNr,
+                  std::max<int64_t>(1, kParallelPackFloats / (kc * kNr)),
+                  [&](int64_t panel_begin, int64_t panel_end) {
+                    PackB(b, ldb, trans_b, pc, jc, kc, nc, panel_begin * kNr,
+                          std::min(nc, panel_end * kNr), bpack);
+                  });
 
       const int64_t mb =
           std::min(((m + kMr - 1) / kMr) * kMr, kMc);  // MR-rounded A rows
-      auto run_rows = [&](int64_t ic_begin, int64_t ic_end) {
-        Workspace* local = Workspace::ThreadLocal();
-        WorkspaceScope local_scope(local);
-        float* apack = local->Alloc(static_cast<size_t>(mb * kb));
-        for (int64_t ic = ic_begin; ic < ic_end; ic += kMc) {
-          const int64_t mc = std::min(kMc, m - ic);
-          PackA(a, lda, trans_a, ic, pc, mc, kc, apack);
-          RunABlock(apack, bpack, mc, nc, kc, ic, jc, alpha, beta_cur, c,
-                    ldc);
-        }
-      };
-
-      if (threaded) {
-        const int64_t num_blocks = (m + kMc - 1) / kMc;
-        pool->ParallelFor(num_blocks, [&](int64_t block_begin,
-                                          int64_t block_end) {
-          run_rows(block_begin * kMc, std::min(m, block_end * kMc));
-        });
-      } else {
-        run_rows(0, m);
-      }
+      ParallelFor(row_blocks, kParallelRowBlocks,
+                  [&](int64_t block_begin, int64_t block_end) {
+                    Workspace* local = Workspace::ThreadLocal();
+                    WorkspaceScope local_scope(local);
+                    float* apack = local->Alloc(static_cast<size_t>(mb * kb));
+                    const int64_t ic_end =
+                        block_end == row_blocks ? m : block_end * kMc;
+                    for (int64_t ic = block_begin * kMc; ic < ic_end;
+                         ic += kMc) {
+                      const int64_t mc = std::min(kMc, m - ic);
+                      PackA(a, lda, trans_a, ic, pc, mc, kc, apack);
+                      RunABlock(apack, bpack, mc, nc, kc, ic, jc, alpha,
+                                beta_cur, c, ldc);
+                    }
+                  });
     }
   }
 }

@@ -14,8 +14,6 @@
 
 namespace one4all {
 
-class ThreadPool;
-
 /// \brief Bump-allocation arena for kernel scratch (packing panels, im2col
 /// columns, per-sample partials). Alloc() hands out 64-byte-aligned float
 /// spans that stay valid until the next Reset(); Reset() recycles the
@@ -61,46 +59,16 @@ class Workspace {
   std::vector<Chunk> chunks_;
 };
 
-/// \brief The ambient compute pool for kernel-level parallelism on the
-/// calling thread (thread_local, so tasks already running on pool workers
-/// see none and never re-enter their own pool). Null means sequential.
-ThreadPool* GetComputePool();
-
-/// \brief The one pool-resolution policy for "which pool should this
-/// compute fan out over": an explicit pool wins, then the calling
-/// thread's ambient compute pool, then the process-wide
-/// ThreadPool::Shared() — except on a pool worker thread, which must
-/// never default to waiting on a pool (its own) and stays sequential.
-/// Returns null when the result would not actually parallelize
-/// (<= 1 worker). Every site that *defaults* to Shared() must resolve
-/// through here so the worker-thread deadlock guard cannot be forgotten.
-ThreadPool* ResolveComputePool(ThreadPool* explicit_pool = nullptr);
-
-/// \brief Installs `pool` as the calling thread's compute pool for the
-/// lifetime of the guard; restores the previous pool on destruction.
-/// Trainer / prediction ingest / benches wrap their compute in one of
-/// these so every kernel underneath fans out over the shared pool.
-class ScopedComputePool {
- public:
-  explicit ScopedComputePool(ThreadPool* pool);
-  ~ScopedComputePool();
-  ScopedComputePool(const ScopedComputePool&) = delete;
-  ScopedComputePool& operator=(const ScopedComputePool&) = delete;
-
- private:
-  ThreadPool* previous_;
-};
-
 /// \brief C[M,N] = alpha * op(A) x op(B) + beta * C over row-major buffers
 /// with leading dimensions lda/ldb/ldc. op(A) is [M,K]: A is stored [M,K]
 /// when !trans_a (lda >= K) and [K,M] when trans_a (lda >= M); op(B) is
 /// [K,N] analogously. Scratch comes from `ws` (thread-local arena when
-/// null); `pool` splits row blocks across workers (ambient pool when
-/// null, sequential when none is installed).
+/// null). The B pack and the MC row blocks fan out through ParallelFor
+/// (core/thread_pool.h) once they are large enough.
 void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            float alpha, const float* a, int64_t lda, const float* b,
            int64_t ldb, float beta, float* c, int64_t ldc,
-           Workspace* ws = nullptr, ThreadPool* pool = nullptr);
+           Workspace* ws = nullptr);
 
 /// \brief Name of the micro-kernel the runtime dispatcher selected
 /// ("avx2-fma" or "generic"); for logs and bench output.

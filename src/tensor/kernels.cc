@@ -9,9 +9,19 @@ namespace one4all {
 
 namespace {
 
-// Below this many elements a row-parallel fan-out costs more than it
-// saves; softmax and friends stay on the calling thread.
+// Fan-out grains. Below this many elements a row-parallel fan-out costs
+// more than it saves; softmax and friends stay on the calling thread.
 constexpr int64_t kParallelRowThreshold = 1 << 14;
+// Convolutions fan out over samples from two of them.
+constexpr int64_t kParallelSamples = 2;
+// Conv2dBackward's shared-weight gradients accumulate into at most this
+// many chunk-private partials, summed in chunk order afterwards.
+constexpr int64_t kMaxGradPartials = 8;
+
+// Rows of `cols` elements each that reach kParallelRowThreshold.
+int64_t RowGrain(int64_t cols) {
+  return (kParallelRowThreshold + cols - 1) / std::max<int64_t>(cols, 1);
+}
 
 void CheckMatMul2d(const Tensor& a, const Tensor& b) {
   O4A_CHECK_EQ(a.ndim(), 2u);
@@ -207,14 +217,8 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
     ws->RestoreMark(mark);
   };
 
-  ThreadPool* pool = GetComputePool();
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    // Batch-parallel: workers see no ambient pool (thread-local), so the
-    // per-sample Sgemm stays sequential and never re-enters the pool.
-    pool->ParallelFor(n, run_samples);
-  } else {
-    run_samples(0, n);
-  }
+  // Batch-parallel: a fanned-out chunk's per-sample Sgemm runs inline.
+  ParallelFor(n, kParallelSamples, run_samples);
   return out;
 }
 
@@ -274,18 +278,10 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     ws->RestoreMark(mark);
   };
 
-  ThreadPool* pool = GetComputePool();
-  const int64_t num_chunks =
-      (pool != nullptr && pool->num_threads() > 1 && n > 1)
-          ? std::min<int64_t>(n, pool->num_threads())
-          : 1;
-  if (num_chunks == 1) {
-    run_samples(0, n, grad_weight, grad_bias);
-    return;
-  }
-
   // Chunk-private partials for the shared-weight gradients, reduced in
-  // chunk order afterwards so the result does not depend on scheduling.
+  // chunk order afterwards. The chunking depends on n alone, so the
+  // result does not depend on scheduling or on the pool's size.
+  const int64_t num_chunks = std::min(n, kMaxGradPartials);
   std::vector<Tensor> dw_parts, db_parts;
   if (grad_weight) {
     dw_parts.assign(static_cast<size_t>(num_chunks), Tensor(weight.shape()));
@@ -293,15 +289,19 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   if (grad_bias) {
     db_parts.assign(static_cast<size_t>(num_chunks), Tensor({f}));
   }
-  pool->ParallelFor(num_chunks, [&](int64_t chunk_begin, int64_t chunk_end) {
-    for (int64_t ci = chunk_begin; ci < chunk_end; ++ci) {
-      const int64_t begin = ci * n / num_chunks;
-      const int64_t end = (ci + 1) * n / num_chunks;
-      run_samples(begin, end,
-                  grad_weight ? &dw_parts[static_cast<size_t>(ci)] : nullptr,
-                  grad_bias ? &db_parts[static_cast<size_t>(ci)] : nullptr);
-    }
-  });
+  // Every chunk holds a sample or more, so chunks reach the samples'
+  // grain whenever samples do.
+  ParallelFor(num_chunks, kParallelSamples,
+              [&](int64_t chunk_begin, int64_t chunk_end) {
+                for (int64_t ci = chunk_begin; ci < chunk_end; ++ci) {
+                  run_samples(
+                      ci * n / num_chunks, (ci + 1) * n / num_chunks,
+                      grad_weight ? &dw_parts[static_cast<size_t>(ci)]
+                                  : nullptr,
+                      grad_bias ? &db_parts[static_cast<size_t>(ci)]
+                                : nullptr);
+                }
+              });
   for (int64_t ci = 0; ci < num_chunks; ++ci) {
     if (grad_weight) {
       grad_weight->AddInPlace(dw_parts[static_cast<size_t>(ci)]);
@@ -454,13 +454,7 @@ Tensor SoftmaxRows(const Tensor& logits) {
       for (int64_t j = 0; j < n; ++j) orow[j] *= inv;
     }
   };
-  ThreadPool* pool = GetComputePool();
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      m * n >= kParallelRowThreshold) {
-    pool->ParallelFor(m, run_rows);
-  } else {
-    run_rows(0, m);
-  }
+  ParallelFor(m, RowGrain(n), run_rows);
   return out;
 }
 
@@ -481,13 +475,7 @@ Tensor SoftmaxRowsBackward(const Tensor& softmax_out,
       }
     }
   };
-  ThreadPool* pool = GetComputePool();
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      m * n >= kParallelRowThreshold) {
-    pool->ParallelFor(m, run_rows);
-  } else {
-    run_rows(0, m);
-  }
+  ParallelFor(m, RowGrain(n), run_rows);
   return gi;
 }
 

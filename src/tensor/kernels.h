@@ -3,9 +3,9 @@
 // concatenation, and softmax. All operate on NCHW tensors.
 //
 // The matmul and convolution entry points run on the blocked SGEMM in
-// tensor/gemm.h: scratch comes from the calling thread's Workspace arena
-// and, when a compute pool is installed (ScopedComputePool), convolutions
-// fan out batch samples and large matmuls fan out row blocks across it.
+// tensor/gemm.h: scratch comes from the calling thread's Workspace arena,
+// and convolutions (batch samples), softmax (rows) and large matmuls (row
+// blocks) fan out through ParallelFor (core/thread_pool.h).
 // The scalar reference implementations live on in namespace `naive` as
 // the parity oracle for tests and benchmarks.
 #ifndef ONE4ALL_TENSOR_KERNELS_H_

@@ -4,15 +4,16 @@
 #include <cstring>
 
 #include "core/thread_pool.h"
-#include "tensor/gemm.h"
 
 namespace one4all {
 
 namespace {
 
 // Below this many cells, per-tile builds run sequentially — the frames
-// are too small to pay pool overhead.
+// are too small to pay pool overhead. As a grain over whole tiles:
 constexpr int64_t kParallelThresholdCells = 1 << 15;
+constexpr int64_t kParallelTiles =
+    kParallelThresholdCells / (kSatTileSize * kSatTileSize);
 
 int64_t TilesFor(int64_t n) {
   return (n + kSatTileSize - 1) / kSatTileSize;
@@ -243,8 +244,7 @@ std::shared_ptr<const std::vector<double>> BuildLocal(const TiledFrame& frame,
 
 }  // namespace
 
-TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
-                                   ThreadPool* pool) {
+TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame) {
   TiledSatPlane out;
   out.h_ = frame.height();
   out.w_ = frame.width();
@@ -258,14 +258,7 @@ TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
           BuildLocal(frame, k / out.tiles_w_, k % out.tiles_w_);
     }
   };
-  ThreadPool* resolved = out.h_ * out.w_ >= kParallelThresholdCells
-                             ? ResolveComputePool(pool)
-                             : nullptr;
-  if (resolved != nullptr) {
-    resolved->ParallelFor(num_tiles, build_tiles);
-  } else {
-    build_tiles(0, num_tiles);
-  }
+  ParallelFor(num_tiles, kParallelTiles, build_tiles);
   out.RebuildAggregates();
   out.RefreshLocalPointers();
   return out;
@@ -274,13 +267,12 @@ TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
 TiledSatPlane TiledSatPlane::BuildDelta(const TiledFrame& frame,
                                         const TiledSatPlane& base,
                                         const TileDirtySet& dirty,
-                                        int64_t* reused_tiles,
-                                        ThreadPool* pool) {
+                                        int64_t* reused_tiles) {
   if (reused_tiles != nullptr) *reused_tiles = 0;
   if (base.h_ != frame.height() || base.w_ != frame.width() ||
       dirty.empty() || dirty.height() != frame.height() ||
       dirty.width() != frame.width()) {
-    return Build(frame, pool);
+    return Build(frame);
   }
   TiledSatPlane out;
   out.h_ = frame.height();
@@ -309,15 +301,7 @@ TiledSatPlane TiledSatPlane::BuildDelta(const TiledFrame& frame,
     }
   };
   const int64_t num_dirty = static_cast<int64_t>(dirty_tiles.size());
-  ThreadPool* resolved =
-      num_dirty * kSatTileSize * kSatTileSize >= kParallelThresholdCells
-          ? ResolveComputePool(pool)
-          : nullptr;
-  if (resolved != nullptr) {
-    resolved->ParallelFor(num_dirty, rebuild);
-  } else {
-    rebuild(0, num_dirty);
-  }
+  ParallelFor(num_dirty, kParallelTiles, rebuild);
   out.RebuildAggregatesDelta(base, dirty);
   out.RefreshLocalPointers();
   if (reused_tiles != nullptr) *reused_tiles = reused;

@@ -31,8 +31,6 @@
 
 namespace one4all {
 
-class ThreadPool;
-
 /// \brief Tile edge in cells. A power of two, so the hot four-read path
 /// divides by shifting. 32 keeps a tile's local prefix (8 KiB of
 /// doubles) L1-resident during rebuild while the aggregate arrays stay
@@ -224,10 +222,9 @@ class TiledSatPlane {
   TiledSatPlane() = default;
 
   /// \brief Full build: every tile's local prefix freshly computed, then
-  /// one aggregate sweep. `pool` fans the independent tile builds out
-  /// (ambient pool when null, sequential for small frames).
-  static TiledSatPlane Build(const TiledFrame& frame,
-                             ThreadPool* pool = nullptr);
+  /// one aggregate sweep. The independent tile builds fan out through
+  /// ParallelFor from 2^15 cells' worth of tiles.
+  static TiledSatPlane Build(const TiledFrame& frame);
 
   /// \brief Incremental build: clean tiles alias `base`'s local blocks,
   /// dirty tiles rebuild from `frame`, aggregates recomputed in the same
@@ -238,8 +235,7 @@ class TiledSatPlane {
   static TiledSatPlane BuildDelta(const TiledFrame& frame,
                                   const TiledSatPlane& base,
                                   const TileDirtySet& dirty,
-                                  int64_t* reused_tiles,
-                                  ThreadPool* pool = nullptr);
+                                  int64_t* reused_tiles);
 
   bool empty() const { return h_ == 0 || w_ == 0; }
   int64_t height() const { return h_; }

@@ -284,18 +284,35 @@ TEST(GatherFastPathTest, MatchesExactCellLoopAcrossSpecShapes) {
 
 TEST(GatherFastPathTest, ParallelFastPathMatchesSequential) {
   GatherFixture fx;
+  // The mixed regions listed 64 times over 4 timesteps: enough rect and
+  // residue reads for the fast path's row stage to fan out.
+  const std::vector<GridMask> distinct = fx.MixedRegions();
+  std::vector<GridMask> regions;
+  for (int copy = 0; copy < 64; ++copy) {
+    regions.insert(regions.end(), distinct.begin(), distinct.end());
+  }
   QuerySpec spec = QuerySpec::MultiRegion(
-      fx.MixedRegions(), fx.pipeline->test_timesteps().front());
+      regions, fx.pipeline->test_timesteps().front());
   spec.time = TimeSelector::Range(spec.time.t0, spec.time.t0 + 3);
   spec.eval_path = EvalPath::kSatFastPath;
   auto plan = fx.planner().Plan(spec);
   ASSERT_TRUE(plan.ok());
 
-  const QueryResult sequential = fx.executor().Execute(*plan);
   ThreadPool pool(4);
-  QueryExecutorOptions pooled;
-  pooled.pool = &pool;
-  const QueryResult parallel = fx.executor().Execute(*plan, pooled);
+  ScopedComputePool scoped(&pool);
+  QueryExecutorOptions single;
+  single.num_threads = 1;
+  const QueryResult sequential = fx.executor().Execute(*plan, single);
+  EXPECT_EQ(pool.chunks_fanned_out(), 0);
+  // Cached: the resolve probes stay inline, so the chunks counted are
+  // the fast path's row stage.
+  ResolvedQueryCache cache;
+  QueryExecutorOptions warm;
+  warm.cache = &cache;
+  fx.executor().Execute(*plan, warm);
+  const int64_t before = pool.chunks_fanned_out();
+  const QueryResult parallel = fx.executor().Execute(*plan, warm);
+  EXPECT_GT(pool.chunks_fanned_out() - before, 1);
   ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
   for (size_t i = 0; i < sequential.rows.size(); ++i) {
     ASSERT_TRUE(sequential.rows[i].ok());

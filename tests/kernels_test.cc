@@ -156,17 +156,22 @@ TEST(ConvThreadedTest, PoolExecutionMatchesSequential) {
   Tensor b = Tensor::RandomNormal({5}, &rng);
   Conv2dSpec spec{1, 1};
 
-  const Tensor seq_out = Conv2dForward(x, w, b, spec);
-  Tensor sgi, sgw, sgb;
-  Rng grng(4);
-  Tensor go = Tensor::RandomNormal(seq_out.shape(), &grng);
-  Conv2dBackward(x, w, go, spec, &sgi, &sgw, &sgb);
+  Tensor seq_out, sgi, sgw, sgb, go;
+  {
+    ThreadPool single(1);  // a one-worker ambient pool keeps it inline
+    ScopedComputePool sequential(&single);
+    seq_out = Conv2dForward(x, w, b, spec);
+    Rng grng(4);
+    go = Tensor::RandomNormal(seq_out.shape(), &grng);
+    Conv2dBackward(x, w, go, spec, &sgi, &sgw, &sgb);
+  }
 
   ThreadPool pool(4);
   ScopedComputePool scoped(&pool);
   const Tensor par_out = Conv2dForward(x, w, b, spec);
   Tensor pgi, pgw, pgb;
   Conv2dBackward(x, w, go, spec, &pgi, &pgw, &pgb);
+  EXPECT_GT(pool.chunks_fanned_out(), 1);
 
   ExpectAllCloseRel(par_out, seq_out, 1e-5f, 1e-5f);
   ExpectAllCloseRel(pgi, sgi, 1e-5f, 1e-5f);
@@ -178,10 +183,16 @@ TEST(SgemmThreadedTest, PoolExecutionMatchesSequential) {
   Rng rng(66);
   Tensor a = Tensor::RandomNormal({512, 96}, &rng);
   Tensor b = Tensor::RandomNormal({96, 64}, &rng);
-  const Tensor seq = MatMul(a, b);
+  Tensor seq;
+  {
+    ThreadPool single(1);
+    ScopedComputePool sequential(&single);
+    seq = MatMul(a, b);
+  }
   ThreadPool pool(4);
   ScopedComputePool scoped(&pool);
   const Tensor par = MatMul(a, b);
+  EXPECT_GT(pool.chunks_fanned_out(), 1);
   // Blocked accumulation order is identical with and without fan-out.
   ExpectAllCloseRel(par, seq, 0.0f, 0.0f);
 }
@@ -190,12 +201,18 @@ TEST(SoftmaxThreadedTest, PoolExecutionMatchesSequential) {
   Rng rng(77);
   Tensor logits = Tensor::RandomNormal({256, 128}, &rng, 0.0f, 3.0f);
   Tensor gseq = Tensor::RandomNormal({256, 128}, &rng);
-  const Tensor seq = SoftmaxRows(logits);
-  const Tensor seq_back = SoftmaxRowsBackward(seq, gseq);
+  Tensor seq, seq_back;
+  {
+    ThreadPool single(1);
+    ScopedComputePool sequential(&single);
+    seq = SoftmaxRows(logits);
+    seq_back = SoftmaxRowsBackward(seq, gseq);
+  }
   ThreadPool pool(4);
   ScopedComputePool scoped(&pool);
   const Tensor par = SoftmaxRows(logits);
   const Tensor par_back = SoftmaxRowsBackward(par, gseq);
+  EXPECT_GT(pool.chunks_fanned_out(), 1);
   ExpectAllCloseRel(par, seq, 0.0f, 0.0f);
   ExpectAllCloseRel(par_back, seq_back, 0.0f, 0.0f);
 }
@@ -254,9 +271,8 @@ TEST(ComputePoolTest, ScopedInstallAndRestore) {
 }
 
 TEST(ComputePoolTest, PoolWorkersSeeNoAmbientPool) {
-  // The nesting-safety invariant: tasks running on pool workers must not
-  // observe the submitting thread's compute pool, or they would re-enter
-  // it and deadlock.
+  // The ambient pool belongs to the thread that installed it: tasks
+  // running on pool workers do not see the submitter's.
   ThreadPool pool(2);
   ScopedComputePool scoped(&pool);
   ThreadPool* seen = &pool;

@@ -299,7 +299,7 @@ TEST(PredictionStoreTest, DeltaPlaneBuildBitIdenticalToFull) {
           .ok());
   PredictionStore::StageStats stats;
   ASSERT_TRUE(
-      incremental.TryBuildSatPlaneDeltaAt(1, 1, 1, 0, nullptr, &stats).ok());
+      incremental.TryBuildSatPlaneDeltaAt(1, 1, 1, 0, &stats).ok());
   EXPECT_GT(stats.plane_tiles_reused, 0);
 
   ASSERT_TRUE(fresh.TrySyncFrameAt(1, 1, 1, next).ok());

@@ -18,7 +18,6 @@
 #include "query/query_planner.h"
 #include "query/query_spec.h"
 #include "shard/shard_map.h"
-#include "shard/shard_router.h"
 
 namespace one4all {
 namespace {
@@ -81,7 +80,7 @@ std::string ExplainSharded(QuerySpec spec, int num_shards) {
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return std::string();
   const ShardMap map = ShardMap::Create(&hierarchy, num_shards);
-  return plan->Describe() + ShardRouter(&map).DescribeSplit(*plan);
+  return plan->Describe() + map.DescribeSplit(*plan);
 }
 
 TEST(PlanDescribeGoldenTest, PointInTime) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/thread_pool.h"
 #include "eval/task_eval.h"
 #include "query/query_executor.h"
@@ -82,25 +85,146 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> touched(257);
   for (auto& t : touched) t.store(0);
-  pool.ParallelFor(257, [&](int64_t begin, int64_t end) {
+  pool.ParallelFor(257, 1, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       touched[static_cast<size_t>(i)].fetch_add(1);
     }
   });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  EXPECT_GT(pool.chunks_fanned_out(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForEmptyAndSingleThread) {
-  ThreadPool pool(1);
+TEST(ThreadPoolTest, ParallelForEmptyAndUnderOneGrain) {
+  ThreadPool pool(4);
   int calls = 0;
-  pool.ParallelFor(0, [&](int64_t, int64_t) { ++calls; });
+  pool.ParallelFor(0, 1, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  pool.ParallelFor(5, [&](int64_t begin, int64_t end) {
+  pool.ParallelFor(5, 6, [&](int64_t begin, int64_t end) {
     EXPECT_EQ(begin, 0);
     EXPECT_EQ(end, 5);
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+  EXPECT_EQ(pool.chunks_fanned_out(), 0);
+}
+
+/// \brief A latch a pool task can block on.
+class Gate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ThreadPoolTest, CallerDrainsEveryChunkWhileTheOnlyWorkerIsBlocked) {
+  ThreadPool pool(1);
+  Gate gate;
+  pool.Submit([&gate] { gate.Wait(); });
+  std::vector<int> touched(100, 0);
+  std::vector<std::thread::id> runners;
+  pool.ParallelFor(100, 1, [&](int64_t begin, int64_t end) {
+    runners.push_back(std::this_thread::get_id());
+    for (int64_t i = begin; i < end; ++i) ++touched[static_cast<size_t>(i)];
+  });
+  // Returned with the worker still blocked: the caller ran every chunk,
+  // and the helper task it enqueued has not started.
+  for (const int t : touched) EXPECT_EQ(t, 1);
+  EXPECT_GT(runners.size(), 1u);
+  for (const std::thread::id id : runners) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(pool.chunks_fanned_out(), static_cast<int64_t>(runners.size()));
+  gate.Open();
+  pool.Wait();  // the late helper finds no chunk left and returns
+}
+
+TEST(ThreadPoolTest, WorkUnderOneGrainRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  ScopedComputePool scoped(&pool);
+  std::vector<std::thread::id> runners;
+  const auto record = [&](int64_t, int64_t) {
+    runners.push_back(std::this_thread::get_id());
+  };
+  pool.ParallelFor(63, 64, record);
+  ParallelFor(63, 64, record);  // through the ambient pool
+  ASSERT_EQ(runners.size(), 2u);
+  EXPECT_EQ(runners[0], std::this_thread::get_id());
+  EXPECT_EQ(runners[1], std::this_thread::get_id());
+  EXPECT_EQ(pool.chunks_fanned_out(), 0);
+}
+
+TEST(ThreadPoolTest, NestedAndPoolTaskParallelForsCoverEachIndexOnce) {
+  ThreadPool pool(3);
+  ScopedComputePool scoped(&pool);
+  constexpr int64_t kOuter = 16, kInner = 97;
+  std::vector<std::atomic<int>> touched(kOuter * kInner);
+  for (auto& t : touched) t.store(0);
+  const auto inner_row = [&](int64_t row) {
+    return [&touched, row](int64_t begin, int64_t end) {
+      for (int64_t j = begin; j < end; ++j) {
+        touched[static_cast<size_t>(row * kInner + j)].fetch_add(1);
+      }
+    };
+  };
+  // Nested inside chunks, on the pool directly and through the ambient
+  // pool: the inner loops run inline on whichever thread holds the chunk.
+  pool.ParallelFor(kOuter, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t row = begin; row < end; ++row) {
+      if (row % 2 == 0) {
+        pool.ParallelFor(kInner, 1, inner_row(row));
+      } else {
+        ParallelFor(kInner, 1, inner_row(row));
+      }
+    }
+  });
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+
+  // Issued from pool tasks: a worker is already parallel work, so each
+  // runs inline there.
+  for (auto& t : touched) t.store(0);
+  for (int64_t row = 0; row < kOuter; ++row) {
+    pool.Submit([&, row] { pool.ParallelFor(kInner, 1, inner_row(row)); });
+  }
+  pool.Wait();
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+}
+
+TEST(ThreadPoolTest, RandomizedSizesAndGrainsCoverEachIndexOnce) {
+  ThreadPool pool(3);
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int64_t n = static_cast<int64_t>(rng.UniformInt(3000));
+    const int64_t grain = 1 + static_cast<int64_t>(rng.UniformInt(400));
+    std::vector<std::atomic<int>> touched(static_cast<size_t>(n));
+    for (auto& t : touched) t.store(0);
+    std::atomic<int64_t> calls{0};
+    pool.ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
+      ASSERT_LT(begin, end);
+      calls.fetch_add(1);
+      for (int64_t i = begin; i < end; ++i) {
+        touched[static_cast<size_t>(i)].fetch_add(1);
+      }
+    });
+    for (const auto& t : touched) {
+      ASSERT_EQ(t.load(), 1) << "n " << n << " grain " << grain;
+    }
+    if (n > 0 && n < std::max<int64_t>(grain, 2)) {
+      EXPECT_EQ(calls.load(), 1) << "n " << n << " grain " << grain;
+    }
+  }
 }
 
 TEST(QueryBatchTest, MultiRegionMatchesPointSpecsAcrossStrategies) {
@@ -131,27 +255,45 @@ TEST(QueryBatchTest, MultiRegionMatchesPointSpecsAcrossStrategies) {
 
 TEST(QueryBatchTest, MultiThreadedSpecsMatchSingleThreaded) {
   BatchFixture fx;
-  const auto regions = fx.MakeRegions(8);
+  // 8 regions, each listed 128 times: 1024 rows, enough term reads per
+  // spec for the gather stage to fan out (the planner still resolves 8
+  // slots).
+  const auto distinct = fx.MakeRegions(8);
+  std::vector<GridMask> regions;
+  for (int copy = 0; copy < 128; ++copy) {
+    regions.insert(regions.end(), distinct.begin(), distinct.end());
+  }
   ThreadPool pool(4);
-  QueryExecutorOptions shared_pool;
-  shared_pool.pool = &pool;
-  QueryExecutorOptions own_threads;
-  own_threads.num_threads = 3;
+  ScopedComputePool scoped(&pool);
+  QueryExecutorOptions single;
+  single.num_threads = 1;
   for (QueryStrategy strategy : kAllStrategies) {
     for (int64_t t : fx.pipeline->test_timesteps()) {
       const QuerySpec spec = QuerySpec::MultiRegion(regions, t, strategy);
-      const QueryResult single = fx.Run(spec);
-      const QueryResult multi = fx.Run(spec, shared_pool);
-      const QueryResult own = fx.Run(spec, own_threads);
-      ASSERT_EQ(multi.rows.size(), single.rows.size());
-      ASSERT_EQ(own.rows.size(), single.rows.size());
-      for (size_t i = 0; i < single.rows.size(); ++i) {
-        ASSERT_TRUE(single.rows[i].ok());
-        ASSERT_TRUE(multi.rows[i].ok());
-        ASSERT_TRUE(own.rows[i].ok());
-        EXPECT_EQ(multi.rows[i]->value, single.rows[i]->value);
-        EXPECT_EQ(own.rows[i]->value, single.rows[i]->value);
-        EXPECT_EQ(own.rows[i]->num_terms, single.rows[i]->num_terms);
+      const int64_t before_sequential = pool.chunks_fanned_out();
+      const QueryResult sequential = fx.Run(spec, single);
+      ASSERT_EQ(pool.chunks_fanned_out(), before_sequential);
+      // A warm cache keeps the resolve stage (8 probes) inline, so the
+      // chunks counted below are the gather stage's.
+      ResolvedQueryCache cache;
+      QueryExecutorOptions warm;
+      warm.cache = &cache;
+      fx.Run(spec, warm);
+      const int64_t before = pool.chunks_fanned_out();
+      const QueryResult parallel = fx.Run(spec, warm);
+      EXPECT_GT(pool.chunks_fanned_out() - before, 1)
+          << QueryStrategyName(strategy) << " t " << t;
+      // Uncached, both stages may fan out.
+      const QueryResult cold = fx.Run(spec);
+      ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
+      ASSERT_EQ(cold.rows.size(), sequential.rows.size());
+      for (size_t i = 0; i < sequential.rows.size(); ++i) {
+        ASSERT_TRUE(sequential.rows[i].ok());
+        ASSERT_TRUE(parallel.rows[i].ok());
+        ASSERT_TRUE(cold.rows[i].ok());
+        EXPECT_EQ(parallel.rows[i]->value, sequential.rows[i]->value);
+        EXPECT_EQ(cold.rows[i]->value, sequential.rows[i]->value);
+        EXPECT_EQ(cold.rows[i]->num_terms, sequential.rows[i]->num_terms);
       }
     }
   }

@@ -334,30 +334,44 @@ TEST(QueryExecutorTest, TopKMatchesBruteForceRanking) {
 
 TEST(QueryExecutorTest, ParallelExecutionMatchesSequential) {
   SpecFixture fx;
-  const auto regions = fx.SomeRegions(10);
+  // 10 regions listed 32 times over 4 timesteps: enough term reads for
+  // the gather stage to fan out.
+  const auto distinct = fx.SomeRegions(10);
+  std::vector<GridMask> regions;
+  for (int copy = 0; copy < 32; ++copy) {
+    regions.insert(regions.end(), distinct.begin(), distinct.end());
+  }
   const auto& slots = fx.pipeline->test_timesteps();
   QuerySpec spec = QuerySpec::MultiRegion(regions, slots.front());
   spec.time = TimeSelector::Range(slots.front(), slots.front() + 3);
   auto plan = fx.planner().Plan(spec);
   ASSERT_TRUE(plan.ok());
 
-  const QueryResult sequential = fx.executor().Execute(*plan);
   ThreadPool pool(4);
-  QueryExecutorOptions pooled;
-  pooled.pool = &pool;
-  const QueryResult parallel = fx.executor().Execute(*plan, pooled);
-  QueryExecutorOptions own_threads;
-  own_threads.num_threads = 3;
-  const QueryResult own = fx.executor().Execute(*plan, own_threads);
+  ScopedComputePool scoped(&pool);
+  QueryExecutorOptions single;
+  single.num_threads = 1;
+  const QueryResult sequential = fx.executor().Execute(*plan, single);
+  EXPECT_EQ(pool.chunks_fanned_out(), 0);
+  // Cached: the 10 resolve probes stay inline, so the chunks counted are
+  // the gather stage's.
+  ResolvedQueryCache cache;
+  QueryExecutorOptions warm;
+  warm.cache = &cache;
+  fx.executor().Execute(*plan, warm);
+  const int64_t before = pool.chunks_fanned_out();
+  const QueryResult parallel = fx.executor().Execute(*plan, warm);
+  EXPECT_GT(pool.chunks_fanned_out() - before, 1);
+  const QueryResult cold = fx.executor().Execute(*plan);
 
   ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
-  ASSERT_EQ(own.rows.size(), sequential.rows.size());
+  ASSERT_EQ(cold.rows.size(), sequential.rows.size());
   for (size_t i = 0; i < sequential.rows.size(); ++i) {
     ASSERT_TRUE(sequential.rows[i].ok());
     ASSERT_TRUE(parallel.rows[i].ok());
-    ASSERT_TRUE(own.rows[i].ok());
+    ASSERT_TRUE(cold.rows[i].ok());
     EXPECT_EQ(parallel.rows[i]->value, sequential.rows[i]->value);
-    EXPECT_EQ(own.rows[i]->value, sequential.rows[i]->value);
+    EXPECT_EQ(cold.rows[i]->value, sequential.rows[i]->value);
   }
 }
 

@@ -13,13 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/thread_pool.h"
 #include "data/synthetic.h"
 #include "eval/task_eval.h"
 #include "model/baselines_simple.h"
 #include "serve/serving_runtime.h"
 #include "shard/shard_executor.h"
 #include "shard/shard_map.h"
-#include "shard/shard_router.h"
 #include "shard/shard_set.h"
 #include "test_util.h"
 
@@ -130,16 +130,15 @@ TEST(ShardMapTest, SplitRegionCellsAccountsEveryCell) {
   for (int k = 0; k < 4; ++k) EXPECT_GT(split[k], 0) << "shard " << k;
 }
 
-TEST(ShardRouterTest, HomeShardIsTheFirstSetRowsOwner) {
+TEST(ShardMapTest, HomeShardIsTheFirstSetRowsOwner) {
   // 20 x 37 = 740 cells: rows straddle the 64-cell mask words.
   Hierarchy hierarchy = Hierarchy::Uniform(20, 37, 2, 4);
   ShardMap map = ShardMap::Create(&hierarchy, 3);
-  ShardRouter router(&map);
   for (int64_t first = 0; first < 20 * 37; first += 23) {
     GridMask region(20, 37);
     region.Set(first / 37, first % 37, true);
     region.Set(19, 36, true);  // a later cell never moves the home
-    EXPECT_EQ(router.HomeShard(region), map.OwnerOfAtomicRow(first / 37))
+    EXPECT_EQ(map.HomeShard(region), map.OwnerOfAtomicRow(first / 37))
         << "first set cell " << first;
   }
 }
@@ -397,8 +396,8 @@ struct ShardFixture {
     return fixture;
   }
 
-  std::unique_ptr<ServingRuntime> MakeRuntime(int num_shards) const {
-    ServingRuntimeOptions options;
+  std::unique_ptr<ServingRuntime> MakeRuntime(
+      int num_shards, ServingRuntimeOptions options = {}) const {
     options.ingest.start_t = dataset->test_indices().front();
     options.ingest.num_timesteps =
         static_cast<int64_t>(dataset->test_indices().size());
@@ -517,6 +516,49 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
     EXPECT_TRUE(sharded->CrossShardConsistent());
     sharded->Stop();
   }
+}
+
+TEST(ShardParityTest, FannedOutShardedExecutionMatchesOneShard) {
+  ShardFixture fixture = ShardFixture::Make();
+  ServingRuntimeOptions single_options;
+  single_options.num_query_threads = 1;
+  single_options.max_inflight_queries = 1 << 20;
+  auto single = fixture.MakeRuntime(1, single_options);
+  ServingRuntimeOptions sharded_options;  // num_query_threads = 0
+  sharded_options.max_inflight_queries = 1 << 20;
+  auto sharded = fixture.MakeRuntime(3, sharded_options);
+  ASSERT_TRUE(sharded->sharded());
+
+  // The region set listed 32 times (duplicates force exact value ties)
+  // over 8 timesteps: enough term reads for the gather stage to fan out.
+  std::vector<GridMask> regions;
+  for (int copy = 0; copy < 32; ++copy) {
+    regions.insert(regions.end(), fixture.regions.begin(),
+                   fixture.regions.end());
+  }
+  const int64_t t0 = fixture.dataset->test_indices().front();
+  QuerySpec multi = QuerySpec::MultiRegion(regions, t0);
+  multi.time = TimeSelector::Range(t0, t0 + 7);
+  multi.keep_series = true;
+  QuerySpec topk = multi;
+  topk.kind = QuerySpecKind::kTopK;
+  topk.top_k = static_cast<int>(regions.size());
+
+  ThreadPool pool(4);
+  ScopedComputePool scoped(&pool);
+  for (const QuerySpec& spec : {multi, topk}) {
+    auto expected = single->ExecuteSpec(QuerySpec(spec));
+    ASSERT_TRUE(expected.ok());
+    const int64_t before = pool.chunks_fanned_out();
+    auto fanned = sharded->ExecuteSpec(QuerySpec(spec));
+    ASSERT_TRUE(fanned.ok());
+    EXPECT_GT(pool.chunks_fanned_out() - before, 1);
+    ExpectBitExactRows(*expected, *fanned,
+                       spec.kind == QuerySpecKind::kTopK ? "topk" : "multi");
+  }
+  EXPECT_TRUE(sharded->CrossShardConsistent());
+  sharded->Stop();
+  single->Stop();
 }
 
 TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {

@@ -87,7 +87,6 @@
 #include "scenario/scenario_spec.h"
 #include "serve/serving_runtime.h"
 #include "shard/shard_map.h"
-#include "shard/shard_router.h"
 
 using namespace one4all;
 
@@ -369,7 +368,7 @@ int CmdQuery(const Flags& flags) {
     shard_map = ShardMap::Create(&dataset->hierarchy(), num_shards);
     std::cout << shard_map.ToString() << "\n";
     if (flags.Has("explain")) {
-      std::cout << ShardRouter(&shard_map).DescribeSplit(*plan);
+      std::cout << shard_map.DescribeSplit(*plan);
     }
   }
   const QueryResult result =
@@ -553,7 +552,6 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
                         static_cast<int64_t>(slots.size()));
   options.ingest.min_publish_interval_ms = flags.GetInt("publish-ms", 20);
   options.retain_timesteps = flags.GetInt("retain", 0);
-  options.num_query_threads = 1;
   const QueryStrategy strategy = ParseStrategy(flags);
   options.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   FrameInference inference =
