@@ -113,12 +113,7 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-void ThreadPool::ParallelFor(int64_t n, int64_t grain, RangeFn body) {
-  if (n <= 0) return;
-  if (n < std::max<int64_t>(grain, 2) || t_in_parallel_work) {
-    body(0, n);
-    return;
-  }
+void ThreadPool::FanOut(int64_t n, RangeFn body) {
   // About four chunks per participant (the workers plus the caller)
   // smooths per-range cost skew; the cursor makes a chunk cost one
   // relaxed fetch_add, not a queue round-trip.
@@ -172,14 +167,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ThreadPool* GetComputePool() { return t_compute_pool; }
-
-ThreadPool* ResolveComputePool() {
-  ThreadPool* pool =
-      t_compute_pool != nullptr ? t_compute_pool : ThreadPool::Shared();
-  return pool->num_threads() > 1 ? pool : nullptr;
-}
-
 ScopedComputePool::ScopedComputePool(ThreadPool* pool)
     : previous_(t_compute_pool) {
   t_compute_pool = pool;
@@ -188,14 +175,16 @@ ScopedComputePool::ScopedComputePool(ThreadPool* pool)
 ScopedComputePool::~ScopedComputePool() { t_compute_pool = previous_; }
 
 void ParallelFor(int64_t n, int64_t grain, RangeFn body) {
-  // Under one grain nothing resolves a pool, so a process whose loops
-  // all stay small never starts Shared()'s workers.
-  ThreadPool* pool = n >= std::max<int64_t>(grain, 2) && !t_in_parallel_work
-                         ? ResolveComputePool()
-                         : nullptr;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, grain, body);
-  } else if (n > 0) {
+  if (n <= 0) return;
+  // Under one grain no pool is resolved, so a process whose loops all
+  // stay small never starts Shared()'s workers.
+  ThreadPool* pool = nullptr;
+  if (n >= std::max<int64_t>(grain, 2) && !t_in_parallel_work) {
+    pool = t_compute_pool != nullptr ? t_compute_pool : ThreadPool::Shared();
+  }
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->FanOut(n, body);
+  } else {
     body(0, n);
   }
 }

@@ -2,7 +2,7 @@
 // ParallelFor(n, grain, body): every parallel loop of the library (the
 // query executor's resolve and gather stages, Sgemm, the convolution and
 // softmax kernels, tiled SAT builds) is one call to it. A loop of fewer
-// than `grain` items, a loop with no pool to fan out over, and a loop
+// than `grain` items, a loop whose pool has a single worker, and a loop
 // issued from inside parallel work all run inline on the calling thread;
 // otherwise the caller claims chunks from an atomic cursor alongside the
 // pool's workers and returns once every chunk is done.
@@ -60,20 +60,9 @@ class ThreadPool {
   /// \brief Blocks until every task submitted so far has finished.
   void Wait();
 
-  /// \brief Runs `body(begin, end)` over contiguous chunks that cover
-  /// [0, n) exactly once. Inline, as one body(0, n) call, when n <
-  /// max(grain, 2) or when the calling thread is already parallel work
-  /// (a pool worker, or a caller draining chunks), so nesting cannot
-  /// deadlock. Otherwise [0, n) is cut into about 4 chunks per
-  /// participant, up to num_threads() helper tasks are enqueued, and the
-  /// caller claims chunks from the same atomic cursor as they do. It
-  /// returns once every chunk has finished, whether or not every helper
-  /// has started: a helper that starts late finds no chunk left.
-  void ParallelFor(int64_t n, int64_t grain, RangeFn body);
-
-  /// \brief Chunks run by fanned-out ParallelFor calls on this pool so
-  /// far, on any thread (inline calls count none): shows whether a loop
-  /// fanned out, whichever threads ended up running its chunks.
+  /// \brief Chunks run by ParallelFor calls that fanned out over this
+  /// pool so far, on any thread (inline calls count none): shows whether
+  /// a loop fanned out, whichever threads ended up running its chunks.
   int64_t chunks_fanned_out() const {
     return chunks_fanned_out_.load(std::memory_order_relaxed);
   }
@@ -91,6 +80,16 @@ class ThreadPool {
   static ThreadPool* Shared();
 
  private:
+  friend void ParallelFor(int64_t n, int64_t grain, RangeFn body);
+
+  /// \brief ParallelFor's fan-out, once it has chosen this pool: cuts
+  /// [0, n) into about 4 chunks per participant, enqueues up to
+  /// num_threads() helper tasks, and claims chunks from the same atomic
+  /// cursor as they do. Returns once every chunk has finished, whether or
+  /// not every helper has started: a helper that starts late finds no
+  /// chunk left.
+  void FanOut(int64_t n, RangeFn body);
+
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
@@ -103,18 +102,11 @@ class ThreadPool {
   std::atomic<int64_t> chunks_fanned_out_{0};
 };
 
-/// \brief The calling thread's ambient pool, installed by
-/// ScopedComputePool (thread_local, so pool workers see none). Null when
-/// none is installed.
-ThreadPool* GetComputePool();
-
-/// \brief The pool a ParallelFor on this thread fans out over: the
-/// ambient pool, else ThreadPool::Shared(). Null, meaning inline, when
-/// that pool has a single worker (Shared() on one core).
-ThreadPool* ResolveComputePool();
-
 /// \brief Installs `pool` as the calling thread's ambient pool for the
-/// guard's lifetime; restores the previous one on destruction.
+/// guard's lifetime; restores the previous one on destruction. The
+/// ambient pool is thread_local, so pool workers see none. A null `pool`
+/// installs none: loops on this thread fan out over ThreadPool::Shared()
+/// again. A one-worker pool is how a thread keeps every loop inline.
 class ScopedComputePool {
  public:
   explicit ScopedComputePool(ThreadPool* pool);
@@ -126,9 +118,14 @@ class ScopedComputePool {
   ThreadPool* previous_;
 };
 
-/// \brief The fan-out policy: ThreadPool::ParallelFor over
-/// ResolveComputePool(), or body(0, n) inline when none resolves. `grain`
-/// is the fewest items worth fanning out, in the loop's own items.
+/// \brief The fan-out policy: runs `body(begin, end)` over contiguous
+/// chunks that cover [0, n) exactly once. `grain` is the fewest items
+/// worth fanning out, in the loop's own items. Inline, as one body(0, n)
+/// call on the calling thread, when n < max(grain, 2), when the calling
+/// thread is already parallel work (a pool worker, or a caller draining
+/// chunks) so nesting cannot deadlock, or when the pool it would use (the
+/// ambient pool, else ThreadPool::Shared()) has a single worker.
+/// Otherwise the caller works alongside that pool's workers.
 void ParallelFor(int64_t n, int64_t grain, RangeFn body);
 
 }  // namespace one4all

@@ -23,7 +23,7 @@ enum class SpanName : uint8_t {
   kQuery = 0,      ///< root: one ExecuteSpec call (arg: rows)
   kAdmission = 1,  ///< admission-control gate (arg: admitted cost)
   kPlan = 2,       ///< QueryPlanner::Plan
-  kCacheProbe = 3, ///< per-slot cache probe + resolve (arg: 1 on hit)
+  kCacheProbe = 3, ///< per-slot resolve-cache probe (arg: 1 on hit)
   kResolve = 4,    ///< resolve stage across all slots (arg: #slots)
   kEpochPin = 5,   ///< epoch pin acquisition (arg: pinned generation)
   kGather = 6,     ///< gather stage, SAT or exact (arg: #point queries)

@@ -152,9 +152,8 @@ const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
 constexpr int64_t kFanOutCellReads = 8192;
 /// Per-row bookkeeping (row fold, series, status), ~0.5 us.
 constexpr int64_t kRowCellReads = 32;
-/// One resolve-stage slot: a cache probe (~0.25 us) when the bands cache
-/// resolutions, a decompose + index lookup (~15 us) when they do not.
-constexpr int64_t kProbeCellReads = 16;
+/// One region resolved on a cache miss: a decompose + index lookup,
+/// ~15 us. Cache probes (~0.25 us) run inline and are not sized.
 constexpr int64_t kResolveCellReads = 1024;
 
 /// \brief The ParallelFor grain of a stage over `items` whose estimated
@@ -170,20 +169,22 @@ int64_t StageGrain(const QueryExecutorOptions& options, int64_t items,
 }
 
 /// \brief StageGrain of a gather stage over the plan's rows: each row
-/// costs kRowCellReads plus `step_reads(resolution)` per timestep.
-template <typename StepReads>
+/// costs kRowCellReads plus, at every timestep, four reads per rect and
+/// one per residue on the fast path or one per term on the exact loop.
 int64_t GatherGrain(const QueryExecutorOptions& options,
                     const QueryPlan& plan,
-                    const std::vector<SlotResolution>& slots,
-                    StepReads step_reads) {
+                    const std::vector<SlotResolution>& slots, bool fast_path) {
   const int64_t num_rows = static_cast<int64_t>(plan.rows.size());
   int64_t cell_reads = num_rows * kRowCellReads;
   for (const PlanRow& planned : plan.rows) {
     const SlotResolution& slot =
         slots[static_cast<size_t>(planned.region_slot)];
-    if (slot.resolved.ok()) {
-      cell_reads += planned.num_steps() * step_reads(**slot.resolved);
-    }
+    if (!slot.resolved.ok()) continue;
+    const ResolvedQuery& rq = **slot.resolved;
+    const size_t step_reads =
+        fast_path ? 4 * rq.gather.rects.size() + rq.gather.residues.size()
+                  : rq.terms.size();
+    cell_reads += planned.num_steps() * static_cast<int64_t>(step_reads);
   }
   return StageGrain(options, num_rows, cell_reads);
 }
@@ -228,40 +229,56 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                      Status::Internal("row not evaluated"));
 
   // -- Stage 1: cache-probe / resolve each distinct region ---------------
+  // Every probe runs inline; only the misses, each a decompose and an
+  // index lookup, are sized for fan-out.
   Stopwatch stage_timer;
   std::vector<SlotResolution> slots(plan.slot_regions.size());
   {
     ScopedSpan resolve_span(options.trace, SpanName::kResolve,
                             static_cast<int64_t>(slots.size()));
-    const int64_t num_slots = static_cast<int64_t>(slots.size());
+    const auto home_cache = [&](int s) {
+      return bands[map == nullptr ? 0
+                                  : static_cast<size_t>(map->HomeShard(
+                                        plan.RegionForSlot(s)))]
+          .cache;
+    };
+    std::vector<int> misses;
+    for (int s = 0; s < static_cast<int>(slots.size()); ++s) {
+      ResolvedQueryCache* cache = home_cache(s);
+      if (cache != nullptr) {
+        SlotResolution& slot = slots[static_cast<size_t>(s)];
+        ScopedSpan probe_span(options.trace, SpanName::kCacheProbe);
+        Stopwatch probe;
+        std::shared_ptr<const ResolvedQuery> hit =
+            cache->Get(plan.FingerprintForSlot(s));
+        if (hit != nullptr) {
+          slot.resolved = std::move(hit);
+          slot.cache_hit = true;
+          // A hit reports only the resolve-path latency, the lookup.
+          slot.probe_micros = probe.ElapsedMicros();
+          probe_span.set_arg(1);
+          continue;
+        }
+      }
+      misses.push_back(s);
+    }
+    const int64_t num_misses = static_cast<int64_t>(misses.size());
     ParallelFor(
-        num_slots,
-        StageGrain(options, num_slots,
-                   num_slots * (bands.front().cache != nullptr
-                                    ? kProbeCellReads
-                                    : kResolveCellReads)),
+        num_misses,
+        StageGrain(options, num_misses, num_misses * kResolveCellReads),
         [&](int64_t begin, int64_t end) {
-          // Each chunk spans against its own copy of the trace context:
-          // ScopedSpan mutates parent_span, which must stay thread-local.
-          TraceContext chunk_trace;
-          if (options.trace != nullptr) chunk_trace = *options.trace;
-          for (int64_t s = begin; s < end; ++s) {
+          for (int64_t i = begin; i < end; ++i) {
+            const int s = misses[static_cast<size_t>(i)];
             SlotResolution& slot = slots[static_cast<size_t>(s)];
-            const GridMask& region =
-                plan.RegionForSlot(static_cast<int>(s));
-            const GatherBand& home =
-                bands[map == nullptr ? 0 : static_cast<size_t>(
-                                               map->HomeShard(region))];
-            ScopedSpan probe_span(&chunk_trace, SpanName::kCacheProbe);
-            Stopwatch probe;
+            Stopwatch resolve;
             slot.resolved = server_->ResolveCached(
-                region, plan.spec.strategy,
-                plan.FingerprintForSlot(static_cast<int>(s)), home.cache,
-                &slot.cache_hit);
-            // Captured before evaluation so a hit reports only the
-            // resolve-path latency, comparable to decompose+index.
-            slot.probe_micros = probe.ElapsedMicros();
-            probe_span.set_arg(slot.cache_hit ? 1 : 0);
+                plan.RegionForSlot(s), plan.spec.strategy,
+                plan.FingerprintForSlot(s), /*cache=*/nullptr);
+            ResolvedQueryCache* cache = home_cache(s);
+            if (cache != nullptr && slot.resolved.ok()) {
+              cache->Put(plan.FingerprintForSlot(s), *slot.resolved);
+            }
+            slot.probe_micros = resolve.ElapsedMicros();
           }
         });
   }
@@ -391,16 +408,10 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       entry.tiles = entry.frame->tile_table();
     }
 
-    // Phase 2: per-row interpretation of the compiled gather programs,
-    // four reads per rect and one per residue at every timestep.
+    // Phase 2: per-row interpretation of the compiled gather programs.
     ParallelFor(
         static_cast<int64_t>(plan.rows.size()),
-        GatherGrain(options, plan, slots,
-                    [](const ResolvedQuery& rq) {
-                      return static_cast<int64_t>(
-                          4 * rq.gather.rects.size() +
-                          rq.gather.residues.size());
-                    }),
+        GatherGrain(options, plan, slots, /*fast_path=*/true),
         [&](int64_t begin, int64_t end) {
           TraceContext chunk_trace;
           if (options.trace != nullptr) chunk_trace = *options.trace;
@@ -500,10 +511,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
 
   ParallelFor(
       static_cast<int64_t>(plan.rows.size()),
-      GatherGrain(options, plan, slots,
-                  [](const ResolvedQuery& rq) {
-                    return static_cast<int64_t>(rq.terms.size());
-                  }),
+      GatherGrain(options, plan, slots, /*fast_path=*/false),
       [&](int64_t begin, int64_t end) {
         TraceContext chunk_trace;
         if (options.trace != nullptr) chunk_trace = *options.trace;

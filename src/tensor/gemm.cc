@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "core/logging.h"
 #include "core/thread_pool.h"
@@ -25,10 +26,9 @@ constexpr int64_t kNr = 16;
 constexpr int64_t kMc = 120;   // multiple of kMr
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 4080;  // multiple of kNr
-// Fan-out grains: the row stage fans out from two MC blocks, the B pack
-// from this many packed floats.
+// Fan-out grain: the row stage fans out from two MC blocks, and the B
+// pack fans out exactly when the row stage does.
 constexpr int64_t kParallelRowBlocks = 2;
-constexpr int64_t kParallelPackFloats = int64_t{1} << 16;
 
 constexpr size_t kAlignFloats = 16;  // 64 bytes
 
@@ -345,6 +345,12 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // The row stage fans out over whole MC blocks, the last one absorbing
   // the remainder rows, so it fans out exactly when m >= 2 * kMc.
   const int64_t row_blocks = std::max<int64_t>(1, m / kMc);
+  // A fanned-out row stage would idle the pool once per k-block behind a
+  // serial B pack, so the pack splits by NR panels then too. A small-m
+  // GEMM (a single-sample convolution) keeps both stages inline.
+  const int64_t pack_grain = row_blocks >= kParallelRowBlocks
+                                 ? 1
+                                 : std::numeric_limits<int64_t>::max();
 
   WorkspaceScope scope(ws);
   // Sized to the actual block extents, not the kKc*kNc maximum (~4 MB):
@@ -359,11 +365,7 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const int64_t kc = std::min(kKc, k - pc);
       // First k-block applies the caller's beta; later blocks accumulate.
       const float beta_cur = pc == 0 ? beta : 1.0f;
-      // The B pack splits by NR panels too once it copies
-      // kParallelPackFloats: a serial pack of a large block would idle
-      // the pool once per k-block and cap the row stage's scaling.
-      ParallelFor((nc + kNr - 1) / kNr,
-                  std::max<int64_t>(1, kParallelPackFloats / (kc * kNr)),
+      ParallelFor((nc + kNr - 1) / kNr, pack_grain,
                   [&](int64_t panel_begin, int64_t panel_end) {
                     PackB(b, ldb, trans_b, pc, jc, kc, nc, panel_begin * kNr,
                           std::min(nc, panel_end * kNr), bpack);

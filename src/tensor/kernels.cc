@@ -14,9 +14,10 @@ namespace {
 constexpr int64_t kParallelRowThreshold = 1 << 14;
 // Convolutions fan out over samples from two of them.
 constexpr int64_t kParallelSamples = 2;
-// Conv2dBackward's shared-weight gradients accumulate into at most this
-// many chunk-private partials, summed in chunk order afterwards.
-constexpr int64_t kMaxGradPartials = 8;
+// Conv2dBackward splits its samples into at most this many chunks, each
+// accumulating the shared-weight gradients on its own, summed in chunk
+// order afterwards.
+constexpr int64_t kMaxGradChunks = 8;
 
 // Rows of `cols` elements each that reach kParallelRowThreshold.
 int64_t RowGrain(int64_t cols) {
@@ -30,12 +31,12 @@ void CheckMatMul2d(const Tensor& a, const Tensor& b) {
 
 // Sums grad_output[s] rows into grad_bias (one value per filter).
 void AccumulateBias(const float* go, int64_t f, int64_t plane,
-                    Tensor* grad_bias) {
+                    float* grad_bias) {
   for (int64_t fi = 0; fi < f; ++fi) {
     const float* row = go + fi * plane;
     double acc = 0.0;
     for (int64_t i = 0; i < plane; ++i) acc += row[i];
-    (*grad_bias)[fi] += static_cast<float>(acc);
+    grad_bias[fi] += static_cast<float>(acc);
   }
 }
 
@@ -245,10 +246,15 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   const int64_t plane = oh * ow;
   const float* wmat = weight.data();  // [F, patch]
 
+  // A chunk's shared-weight gradient partial: dW [f, patch] when
+  // grad_weight is wanted, then dB [f] when grad_bias is.
+  const int64_t dw_floats = grad_weight ? f * patch : 0;
+  const int64_t db_floats = grad_bias ? f : 0;
+  const int64_t part_floats = dw_floats + db_floats;
+
   // Processes samples [begin, end), accumulating the shared-weight
-  // gradients into `dw` / `db` (chunk-private when parallel).
-  auto run_samples = [&](int64_t begin, int64_t end, Tensor* dw,
-                         Tensor* db) {
+  // gradients into `dw` / `db`.
+  auto run_samples = [&](int64_t begin, int64_t end, float* dw, float* db) {
     Workspace* ws = Workspace::ThreadLocal();
     const Workspace::Mark mark = ws->SaveMark();
     float* cols = dw != nullptr
@@ -264,7 +270,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
         Im2ColInto(input, s, kh, kw, spec, cols);
         // dW += go x cols^T  -> [f, patch]
         Sgemm(false, true, f, patch, plane, 1.0f, go, plane, cols, plane,
-              1.0f, dw->data(), patch);
+              1.0f, dw, patch);
       }
       if (grad_input != nullptr) {
         // dCols = W^T x go -> [patch, oh*ow]; per-sample slices of
@@ -278,36 +284,38 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     ws->RestoreMark(mark);
   };
 
-  // Chunk-private partials for the shared-weight gradients, reduced in
-  // chunk order afterwards. The chunking depends on n alone, so the
-  // result does not depend on scheduling or on the pool's size.
-  const int64_t num_chunks = std::min(n, kMaxGradPartials);
-  std::vector<Tensor> dw_parts, db_parts;
-  if (grad_weight) {
-    dw_parts.assign(static_cast<size_t>(num_chunks), Tensor(weight.shape()));
-  }
-  if (grad_bias) {
-    db_parts.assign(static_cast<size_t>(num_chunks), Tensor({f}));
-  }
+  // The first chunk accumulates into the zeroed gradients themselves,
+  // every later one into its own zeroed partial from the caller's arena,
+  // and the partials are added in chunk order afterwards. The chunking
+  // depends on n alone, so the result does not depend on scheduling or on
+  // the pool's size, and a single sample allocates no partial.
+  const int64_t num_chunks = std::min(n, kMaxGradChunks);
+  float* dw = grad_weight ? grad_weight->data() : nullptr;
+  float* db = grad_bias ? grad_bias->data() : nullptr;
+  Workspace* ws = Workspace::ThreadLocal();
+  const Workspace::Mark mark = ws->SaveMark();
+  const size_t parts_floats = static_cast<size_t>(
+      std::max<int64_t>(num_chunks - 1, 0) * part_floats);
+  float* parts = parts_floats > 0 ? ws->Alloc(parts_floats) : nullptr;
+  std::fill(parts, parts + parts_floats, 0.0f);
   // Every chunk holds a sample or more, so chunks reach the samples'
   // grain whenever samples do.
   ParallelFor(num_chunks, kParallelSamples,
               [&](int64_t chunk_begin, int64_t chunk_end) {
                 for (int64_t ci = chunk_begin; ci < chunk_end; ++ci) {
-                  run_samples(
-                      ci * n / num_chunks, (ci + 1) * n / num_chunks,
-                      grad_weight ? &dw_parts[static_cast<size_t>(ci)]
-                                  : nullptr,
-                      grad_bias ? &db_parts[static_cast<size_t>(ci)]
-                                : nullptr);
+                  float* part =
+                      ci == 0 ? nullptr : parts + (ci - 1) * part_floats;
+                  run_samples(ci * n / num_chunks, (ci + 1) * n / num_chunks,
+                              ci == 0 || dw == nullptr ? dw : part,
+                              ci == 0 || db == nullptr ? db : part + dw_floats);
                 }
               });
-  for (int64_t ci = 0; ci < num_chunks; ++ci) {
-    if (grad_weight) {
-      grad_weight->AddInPlace(dw_parts[static_cast<size_t>(ci)]);
-    }
-    if (grad_bias) grad_bias->AddInPlace(db_parts[static_cast<size_t>(ci)]);
+  for (int64_t ci = 1; ci < num_chunks; ++ci) {
+    const float* part = parts + (ci - 1) * part_floats;
+    for (int64_t i = 0; i < dw_floats; ++i) dw[i] += part[i];
+    for (int64_t i = 0; i < db_floats; ++i) db[i] += part[dw_floats + i];
   }
+  ws->RestoreMark(mark);
 }
 
 Tensor GlobalAvgPoolForward(const Tensor& input) {
@@ -611,7 +619,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
       Tensor dcols = naive::MatMulTransA(wmat, go);
       Col2Im(dcols, kh, kw, spec, grad_input, s);
     }
-    if (grad_bias) AccumulateBias(go.data(), f, oh * ow, grad_bias);
+    if (grad_bias) AccumulateBias(go.data(), f, oh * ow, grad_bias->data());
   }
 }
 

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -83,9 +84,10 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
+  ScopedComputePool scoped(&pool);
   std::vector<std::atomic<int>> touched(257);
   for (auto& t : touched) t.store(0);
-  pool.ParallelFor(257, 1, [&](int64_t begin, int64_t end) {
+  ParallelFor(257, 1, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       touched[static_cast<size_t>(i)].fetch_add(1);
     }
@@ -96,16 +98,34 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPoolTest, ParallelForEmptyAndUnderOneGrain) {
   ThreadPool pool(4);
+  ScopedComputePool scoped(&pool);
   int calls = 0;
-  pool.ParallelFor(0, 1, [&](int64_t, int64_t) { ++calls; });
+  ParallelFor(0, 1, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  pool.ParallelFor(5, 6, [&](int64_t begin, int64_t end) {
+  ParallelFor(5, 6, [&](int64_t begin, int64_t end) {
     EXPECT_EQ(begin, 0);
     EXPECT_EQ(end, 5);
     ++calls;
   });
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(pool.chunks_fanned_out(), 0);
+}
+
+TEST(ThreadPoolTest, OneWorkerPoolRunsEveryLoopInline) {
+  // A one-worker ambient pool is how a thread keeps its loops inline:
+  // however far past its grain, a loop is one body(0, n) call here.
+  ThreadPool single(1);
+  ScopedComputePool scoped(&single);
+  std::vector<std::pair<int64_t, int64_t>> calls;
+  std::vector<std::thread::id> runners;
+  ParallelFor(1000, 1, [&](int64_t begin, int64_t end) {
+    calls.emplace_back(begin, end);
+    runners.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(int64_t{0}, int64_t{1000}));
+  EXPECT_EQ(runners[0], std::this_thread::get_id());
+  EXPECT_EQ(single.chunks_fanned_out(), 0);
 }
 
 /// \brief A latch a pool task can block on.
@@ -129,18 +149,23 @@ class Gate {
   bool open_ = false;
 };
 
-TEST(ThreadPoolTest, CallerDrainsEveryChunkWhileTheOnlyWorkerIsBlocked) {
-  ThreadPool pool(1);
+TEST(ThreadPoolTest, CallerDrainsEveryChunkWhileEveryWorkerIsBlocked) {
+  // Two workers, the fewest a loop fans out over, both held on a latch.
+  ThreadPool pool(2);
+  ScopedComputePool scoped(&pool);
   Gate gate;
-  pool.Submit([&gate] { gate.Wait(); });
+  for (int i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([&gate] { gate.Wait(); });
+  }
   std::vector<int> touched(100, 0);
   std::vector<std::thread::id> runners;
-  pool.ParallelFor(100, 1, [&](int64_t begin, int64_t end) {
+  ParallelFor(100, 1, [&](int64_t begin, int64_t end) {
     runners.push_back(std::this_thread::get_id());
     for (int64_t i = begin; i < end; ++i) ++touched[static_cast<size_t>(i)];
   });
-  // Returned with the worker still blocked: the caller ran every chunk,
-  // and the helper task it enqueued has not started.
+  // Returned with the workers still blocked: the caller ran every chunk
+  // of a loop that did fan out, and the helper tasks it enqueued have not
+  // started.
   for (const int t : touched) EXPECT_EQ(t, 1);
   EXPECT_GT(runners.size(), 1u);
   for (const std::thread::id id : runners) {
@@ -148,21 +173,18 @@ TEST(ThreadPoolTest, CallerDrainsEveryChunkWhileTheOnlyWorkerIsBlocked) {
   }
   EXPECT_EQ(pool.chunks_fanned_out(), static_cast<int64_t>(runners.size()));
   gate.Open();
-  pool.Wait();  // the late helper finds no chunk left and returns
+  pool.Wait();  // the late helpers find no chunk left and return
 }
 
 TEST(ThreadPoolTest, WorkUnderOneGrainRunsOnTheCallingThread) {
   ThreadPool pool(4);
   ScopedComputePool scoped(&pool);
   std::vector<std::thread::id> runners;
-  const auto record = [&](int64_t, int64_t) {
+  ParallelFor(63, 64, [&](int64_t, int64_t) {
     runners.push_back(std::this_thread::get_id());
-  };
-  pool.ParallelFor(63, 64, record);
-  ParallelFor(63, 64, record);  // through the ambient pool
-  ASSERT_EQ(runners.size(), 2u);
+  });
+  ASSERT_EQ(runners.size(), 1u);
   EXPECT_EQ(runners[0], std::this_thread::get_id());
-  EXPECT_EQ(runners[1], std::this_thread::get_id());
   EXPECT_EQ(pool.chunks_fanned_out(), 0);
 }
 
@@ -179,31 +201,32 @@ TEST(ThreadPoolTest, NestedAndPoolTaskParallelForsCoverEachIndexOnce) {
       }
     };
   };
-  // Nested inside chunks, on the pool directly and through the ambient
-  // pool: the inner loops run inline on whichever thread holds the chunk.
-  pool.ParallelFor(kOuter, 1, [&](int64_t begin, int64_t end) {
+  // Nested inside chunks: the inner loops run inline on whichever thread
+  // holds the chunk.
+  ParallelFor(kOuter, 1, [&](int64_t begin, int64_t end) {
     for (int64_t row = begin; row < end; ++row) {
-      if (row % 2 == 0) {
-        pool.ParallelFor(kInner, 1, inner_row(row));
-      } else {
-        ParallelFor(kInner, 1, inner_row(row));
-      }
+      ParallelFor(kInner, 1, inner_row(row));
     }
   });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  const int64_t fanned_out = pool.chunks_fanned_out();
+  EXPECT_GT(fanned_out, 1);
 
   // Issued from pool tasks: a worker is already parallel work, so each
   // runs inline there.
   for (auto& t : touched) t.store(0);
   for (int64_t row = 0; row < kOuter; ++row) {
-    pool.Submit([&, row] { pool.ParallelFor(kInner, 1, inner_row(row)); });
+    pool.Submit([&, row] { ParallelFor(kInner, 1, inner_row(row)); });
   }
   pool.Wait();
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  // Only the outer loop fanned out.
+  EXPECT_EQ(pool.chunks_fanned_out(), fanned_out);
 }
 
 TEST(ThreadPoolTest, RandomizedSizesAndGrainsCoverEachIndexOnce) {
   ThreadPool pool(3);
+  ScopedComputePool scoped(&pool);
   Rng rng(2024);
   for (int trial = 0; trial < 200; ++trial) {
     const int64_t n = static_cast<int64_t>(rng.UniformInt(3000));
@@ -211,7 +234,7 @@ TEST(ThreadPoolTest, RandomizedSizesAndGrainsCoverEachIndexOnce) {
     std::vector<std::atomic<int>> touched(static_cast<size_t>(n));
     for (auto& t : touched) t.store(0);
     std::atomic<int64_t> calls{0};
-    pool.ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
+    ParallelFor(n, grain, [&](int64_t begin, int64_t end) {
       ASSERT_LT(begin, end);
       calls.fetch_add(1);
       for (int64_t i = begin; i < end; ++i) {
@@ -296,6 +319,45 @@ TEST(QueryBatchTest, MultiThreadedSpecsMatchSingleThreaded) {
         EXPECT_EQ(cold.rows[i]->num_terms, sequential.rows[i]->num_terms);
       }
     }
+  }
+}
+
+TEST(QueryBatchTest, ColdResolvesFanOutAndWarmProbesStayInline) {
+  BatchFixture fx;
+  // 16 regions at one timestep: the gather (16 rows of a few term reads
+  // each) stays under its grain, so the chunks counted below are the
+  // resolve stage's.
+  const auto regions = fx.MakeRegions(16);
+  const QuerySpec spec = QuerySpec::MultiRegion(
+      regions, fx.pipeline->test_timesteps().front());
+  ThreadPool pool(4);
+  ScopedComputePool scoped(&pool);
+  QueryExecutorOptions single;
+  single.num_threads = 1;
+  const QueryResult sequential = fx.Run(spec, single);
+  ResolvedQueryCache cache;
+  QueryExecutorOptions cached;
+  cached.cache = &cache;
+  // Cold: every probe misses, and the misses' resolves fan out.
+  int64_t before = pool.chunks_fanned_out();
+  const QueryResult cold = fx.Run(spec, cached);
+  EXPECT_EQ(cold.cache_hits, 0);
+  EXPECT_GT(pool.chunks_fanned_out() - before, 1);
+  // Warm: every probe hits, inline.
+  before = pool.chunks_fanned_out();
+  const QueryResult warm = fx.Run(spec, cached);
+  EXPECT_EQ(warm.cache_misses, 0);
+  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
+  EXPECT_EQ(pool.chunks_fanned_out(), before);
+  ASSERT_EQ(cold.rows.size(), sequential.rows.size());
+  ASSERT_EQ(warm.rows.size(), sequential.rows.size());
+  for (size_t i = 0; i < sequential.rows.size(); ++i) {
+    ASSERT_TRUE(sequential.rows[i].ok());
+    ASSERT_TRUE(cold.rows[i].ok());
+    ASSERT_TRUE(warm.rows[i].ok());
+    EXPECT_EQ(cold.rows[i]->value, sequential.rows[i]->value);
+    EXPECT_EQ(warm.rows[i]->value, sequential.rows[i]->value);
+    EXPECT_EQ(cold.rows[i]->num_terms, sequential.rows[i]->num_terms);
   }
 }
 
