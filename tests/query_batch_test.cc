@@ -111,23 +111,6 @@ TEST(ThreadPoolTest, ParallelForEmptyAndUnderOneGrain) {
   EXPECT_EQ(pool.chunks_fanned_out(), 0);
 }
 
-TEST(ThreadPoolTest, OneWorkerPoolRunsEveryLoopInline) {
-  // A one-worker ambient pool is how a thread keeps its loops inline:
-  // however far past its grain, a loop is one body(0, n) call here.
-  ThreadPool single(1);
-  ScopedComputePool scoped(&single);
-  std::vector<std::pair<int64_t, int64_t>> calls;
-  std::vector<std::thread::id> runners;
-  ParallelFor(1000, 1, [&](int64_t begin, int64_t end) {
-    calls.emplace_back(begin, end);
-    runners.push_back(std::this_thread::get_id());
-  });
-  ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0], std::make_pair(int64_t{0}, int64_t{1000}));
-  EXPECT_EQ(runners[0], std::this_thread::get_id());
-  EXPECT_EQ(single.chunks_fanned_out(), 0);
-}
-
 /// \brief A latch a pool task can block on.
 class Gate {
  public:
@@ -148,6 +131,28 @@ class Gate {
   std::condition_variable cv_;
   bool open_ = false;
 };
+
+TEST(ThreadPoolTest, OneWorkerPoolRunsEveryLoopInline) {
+  // A one-worker ambient pool is how a thread keeps its loops inline:
+  // however far past its grain, a loop is one body(0, n) call on the
+  // caller, and it completes while the only worker is blocked.
+  ThreadPool single(1);
+  ScopedComputePool scoped(&single);
+  Gate gate;
+  single.Submit([&gate] { gate.Wait(); });
+  std::vector<std::pair<int64_t, int64_t>> calls;
+  std::vector<std::thread::id> runners;
+  ParallelFor(1000, 1, [&](int64_t begin, int64_t end) {
+    calls.emplace_back(begin, end);
+    runners.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(int64_t{0}, int64_t{1000}));
+  EXPECT_EQ(runners[0], std::this_thread::get_id());
+  EXPECT_EQ(single.chunks_fanned_out(), 0);
+  gate.Open();
+  single.Wait();
+}
 
 TEST(ThreadPoolTest, CallerDrainsEveryChunkWhileEveryWorkerIsBlocked) {
   // Two workers, the fewest a loop fans out over, both held on a latch.
